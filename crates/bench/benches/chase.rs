@@ -1,6 +1,6 @@
 //! Benchmarks for Section 4.3: the c-chase end to end, plus the two design
-//! ablations called out in `DESIGN.md` (egd-round re-normalization and
-//! naïve source normalization).
+//! ablations of `docs/parallelism.md` (egd-round re-normalization — the
+//! "Reproduction findings" section — and naïve source normalization).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
@@ -66,13 +66,12 @@ fn bench_nested(c: &mut Criterion) {
     group.finish();
 }
 
-/// The headline engine ablation: indexed semi-naive vs legacy full scan vs
-/// the partitioned parallel engine (1 and 4 workers) across the workload
+/// The headline engine ablation: the legacy full-scan oracle vs the
+/// production (partitioned) engine at 1 and 4 workers across the workload
 /// families. The case list is shared with the CI regression gate
 /// (`cargo run -p tdx-bench --bin bench_check`) via
 /// [`tdx_bench::engine_suite`], so the gate compares exactly what this
-/// bench records. Acceptance bars: indexed ≥ 1.5× over scan, partitioned
-/// at 4 workers ≥ 2× over indexed, both on employment/100.
+/// bench records.
 fn bench_engines(c: &mut Criterion) {
     let mut group = c.benchmark_group(tdx_bench::engine_suite::GROUP);
     group

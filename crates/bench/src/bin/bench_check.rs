@@ -212,7 +212,13 @@ fn main() {
     if let Some(dir) = std::path::Path::new(&out_path).parent() {
         let _ = std::fs::create_dir_all(dir);
     }
-    let mut json = String::from("{\n  \"benchmarks\": [\n");
+    // The recording machine's core count rides along (the parser skips
+    // lines without an id): a baseline recorded on one core cannot hold
+    // the `partitioned_parallel/4` rows a multi-core runner measures.
+    let mut json = format!(
+        "{{\n  \"available_parallelism\": {},\n  \"benchmarks\": [\n",
+        std::thread::available_parallelism().map_or(1, |n| n.get())
+    );
     for (i, row) in fresh.iter().enumerate() {
         json.push_str(&format!(
             "    {{\"id\": \"{}\", \"mean_ns\": {:.1}, \"median_ns\": {:.1}, \"min_ns\": {:.1}, \

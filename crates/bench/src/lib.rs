@@ -138,7 +138,7 @@ mod tests {
 /// One benchmark case: an id suffix under its suite's group prefix and a
 /// closure running one iteration of the measured work.
 pub struct Case {
-    /// Id suffix, e.g. `employment/indexed_semi_naive/100`.
+    /// Id suffix, e.g. `employment/legacy_scan/100`.
     pub id: String,
     /// One iteration of the benchmark body.
     pub run: Box<dyn Fn() + Send + Sync>,
@@ -206,14 +206,13 @@ pub mod engine_suite {
     /// The group prefix every case id lives under.
     pub const GROUP: &str = "c_chase/engine";
 
-    /// The engine ablation: indexed semi-naive vs legacy full scan vs the
-    /// partitioned parallel engine at 1 and 4 workers, across the
-    /// employment and nested workload families, plus the
-    /// normalization-dominated clustered probe. The 4-worker rows are
-    /// skipped on single-core machines (see [`crate::multicore`]).
+    /// The engine ablation: the legacy full-scan oracle vs the production
+    /// (partitioned) engine at 1 and 4 workers, across the employment and
+    /// nested workload families, plus the normalization-dominated
+    /// clustered probe. The 4-worker rows are skipped on single-core
+    /// machines (see [`crate::multicore`]).
     pub fn cases() -> Vec<Case> {
         let mut engines: Vec<(&'static str, ChaseOptions)> = vec![
-            ("indexed_semi_naive", ChaseOptions::default()),
             ("legacy_scan", ChaseOptions::legacy_scan()),
             (
                 "partitioned_parallel/1",

@@ -1,13 +1,13 @@
 //! The seeded fail-slow fault harness: chaos testing for the cluster's
 //! deadline/retry/quarantine machinery.
 //!
-//! Where [`FaultInjector`](super::transport::FaultInjector) models exactly
-//! one failure shape (kill the carrier after N frames), [`ChaosSpawner`]
-//! replays a [`FaultPlan`] — a seeded, reproducible list of
-//! [`FaultSpec`]s — against any inner transport. The fault kinds cover the
-//! fail-slow and corrupting failure classes of `docs/robustness.md`:
-//! delay, indefinite hang, frame drop, byte corruption, duplicated frames
-//! and partial writes.
+//! [`ChaosSpawner`] replays a [`FaultPlan`] — a seeded, reproducible list
+//! of [`FaultSpec`]s — against any inner transport. The fault kinds cover
+//! the fail-stop, fail-slow and corrupting failure classes of
+//! `docs/robustness.md`: delay, indefinite hang, frame drop, byte
+//! corruption, duplicated frames and partial writes. A single
+//! [`FaultKind::PartialWrite`] plan is the classic crash sweep: kill one
+//! server's carrier after N frames, then let the retry path respawn it.
 //!
 //! Faults are injected **coordinator-side** (in the wrapper, never inside
 //! the server): the coordinator is the component whose recovery is under
@@ -60,8 +60,7 @@ pub enum FaultKind {
 /// One fault: `kind` fires on `server`'s transport when it has already
 /// carried `after_frames` sends (frame offsets count per transport
 /// instance, so a respawned carrier starts over — a plan's offsets sweep
-/// the protocol positions of a fresh carrier, exactly like
-/// [`FaultInjector`](super::transport::FaultInjector)).
+/// the protocol positions of a fresh carrier).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FaultSpec {
     /// Cluster-wide index of the targeted server.
@@ -435,6 +434,36 @@ mod tests {
         assert_eq!(err.kind(), io::ErrorKind::WriteZero);
         assert!(t.recv().is_err(), "broken carrier stays broken");
         t.shutdown();
+    }
+
+    #[test]
+    fn partial_write_fires_exactly_once_and_the_respawn_is_clean() {
+        let plan = FaultPlan::single(0, 1, FaultKind::PartialWrite);
+        let spawner = ChaosSpawner::new(Arc::new(ChannelSpawner), &plan);
+        let mut t = spawner.spawn(0).unwrap();
+        assert_eq!(spawner.fired(), 0);
+        t.send(&ping_frame()).unwrap(); // the first frame passes
+        assert_eq!(
+            decode::<Response>(&t.recv().unwrap()).unwrap(),
+            Response::Pong
+        );
+        assert!(t.send(&ping_frame()).is_err()); // the second breaks off
+        assert_eq!(spawner.fired(), 1);
+        // The respawned carrier starts its frame count over, but the fault
+        // is spent: it stays clean past the old offset.
+        let mut t2 = spawner.spawn(0).unwrap();
+        for _ in 0..2 {
+            t2.send(&ping_frame()).unwrap();
+            assert_eq!(
+                decode::<Response>(&t2.recv().unwrap()).unwrap(),
+                Response::Pong
+            );
+        }
+        assert_eq!(spawner.fired(), 1);
+        t2.send(&encode(&Message::Shutdown)).unwrap();
+        let _ = t2.recv();
+        t.shutdown();
+        t2.shutdown();
     }
 
     #[test]

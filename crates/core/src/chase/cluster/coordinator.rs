@@ -1,21 +1,20 @@
-//! The coordinator: the one place global chase state lives, for every
-//! engine that farms match enumeration out.
+//! The coordinator: the one place global chase state lives when match
+//! enumeration is farmed out to partition servers.
 //!
 //! Two things live here:
 //!
 //! 1. **The coordinator kernel** — the restricted-chase check machinery
-//!    ([`Check`], [`classify_check`], [`TgdFolder`]) and the union-find
-//!    merge fold ([`fold_merge_ops`]). [`ChaseEngine::PartitionedParallel`],
-//!    [`ChaseEngine::Distributed`] and the
+//!    ([`Check`], [`classify_check`], [`register_memo`]) and the union-find
+//!    merge fold ([`fold_merge_ops`]). The
 //!    [`IncrementalExchange`](crate::chase::incremental::IncrementalExchange)
-//!    session all fold their enumerated matches through these same
-//!    routines; only *where the enumeration ran* differs.
+//!    session — the one production chase engine, local or distributed —
+//!    folds its enumerated matches through these routines; only *where the
+//!    enumeration ran* differs.
 //! 2. **[`DistributedCluster`]** — the coordinator-side handle to a set of
 //!    partition servers behind any [`Transport`] backend: delta-only
-//!    `ApplyDelta` shipping against per-server retained-prefix watermarks,
-//!    a heartbeat, and a bounded retry path that respawns a dead server
-//!    and replays its watermarked images. [`c_chase_distributed`] is the
-//!    batch engine loop on top of it.
+//!    shipping against per-server retained-prefix watermarks, a heartbeat,
+//!    and a bounded retry path that respawns a dead server and replays its
+//!    watermarked images. The session drives it one fused round per phase.
 //!
 //! # Delta-only shipping
 //!
@@ -67,30 +66,21 @@
 //! (`tests/equivalence.rs`).
 
 use super::protocol::{
-    config_digest, image_digest, FactLists, Hom, ImagePair, MergeOp, Message, RelationSync,
-    Response, ServerConfig, StoreKind, SyncOp,
+    config_digest, image_digest, FactLists, Hom, MergeOp, Message, RelationSync, Response,
+    ServerConfig, StoreKind, SyncOp,
 };
 use super::server::ServerState;
 use super::transport::{
     resolve_transport, spawner_for, Transport, TransportKind, TransportSpawner,
 };
-use crate::chase::concrete::{
-    instantiate, AnnotatedUnionFind, CChaseResult, ChaseOptions, ChaseStats, UfKey,
-};
-use crate::chase::partitioned::{
-    apply_cuts, base_align_cuts, image_cuts, pack_ref, refragment_lists, rewrite_values,
-    sweep_specs, unpack_ref, CutMap,
-};
+use crate::chase::concrete::{AnnotatedUnionFind, UfKey};
 use crate::error::{Result, TdxError};
-use crate::normalize::FactRef;
 use std::sync::Arc;
 use std::time::Duration;
 use tdx_logic::{Atom, RelId, Schema, SchemaMapping, Term, Var};
 use tdx_storage::codec::{decode, encode};
 use tdx_storage::fxhash::FxHashSet;
-use tdx_storage::{
-    NullGen, Row, SearchOptions, TemporalFact, TemporalInstance, TemporalMode, Value,
-};
+use tdx_storage::{Row, SearchOptions, TemporalFact, Value};
 use tdx_temporal::{Interval, TimelinePartition};
 
 // ---------------------------------------------------------------------------
@@ -121,8 +111,7 @@ pub(crate) enum Check {
 }
 
 /// Classifies the restricted-chase check tier for a tgd head (see
-/// [`Check`]). Shared by the partitioned and distributed batch engines and
-/// the incremental session — one classification, three call sites.
+/// [`Check`]).
 pub(crate) fn classify_check(head: &[Atom], existentials: &[Var], tgt: &Schema) -> Result<Check> {
     if existentials.is_empty() {
         return Ok(Check::Direct);
@@ -200,19 +189,6 @@ pub(crate) fn memo_probe_key(
         .collect()
 }
 
-/// Resolves a validated tgd head atom's target relation. Mapping
-/// validation guarantees the lookup succeeds; if it ever does not (a
-/// coordinator bug or a mapping mutated mid-chase), the chase fails with
-/// a typed error rather than panicking mid-fold.
-fn target_rel(mapping: &SchemaMapping, atom: &Atom) -> Result<RelId> {
-    mapping.target().rel_id(atom.relation).ok_or_else(|| {
-        TdxError::Invalid(format!(
-            "tgd head relation {:?} is missing from the target schema",
-            atom.relation
-        ))
-    })
-}
-
 /// Folds enumerated egd merge operations into a round's union-find. A
 /// constant/constant clash fails the chase with the owning egd's name —
 /// identical failure rendering for every engine. Returns the number of
@@ -245,113 +221,6 @@ pub(crate) fn fold_merge_ops(
         }
     }
     Ok(merges)
-}
-
-/// The coordinator-side tgd step folder: takes enumerated homomorphisms
-/// (from worker tasks or partition servers — anywhere), applies the
-/// restricted-chase check and inserts head facts with fresh annotated
-/// nulls. One instance per chase; both batch engines fold through it.
-pub(crate) struct TgdFolder<'a> {
-    mapping: &'a SchemaMapping,
-    checks: Vec<(Check, Vec<Var>)>,
-    memos: Vec<FxHashSet<MemoKey>>,
-    pub(crate) nulls: NullGen,
-}
-
-impl<'a> TgdFolder<'a> {
-    /// A folder for `mapping`'s s-t tgds (one check + memo per tgd).
-    pub(crate) fn new(mapping: &'a SchemaMapping) -> Result<TgdFolder<'a>> {
-        let checks = mapping
-            .st_tgds()
-            .iter()
-            .map(|tgd| {
-                let ex = tgd.existential_vars();
-                classify_check(&tgd.head, &ex, mapping.target()).map(|c| (c, ex))
-            })
-            .collect::<Result<Vec<_>>>()?;
-        let memos = checks.iter().map(|_| Default::default()).collect();
-        Ok(TgdFolder {
-            mapping,
-            checks,
-            memos,
-            nulls: NullGen::new(),
-        })
-    }
-
-    /// Folds tgd `ti`'s homomorphisms into `target`; returns the number of
-    /// steps fired.
-    pub(crate) fn fold(
-        &mut self,
-        ti: usize,
-        homs: impl IntoIterator<Item = Hom>,
-        target: &mut TemporalInstance,
-        sopts: SearchOptions,
-    ) -> Result<usize> {
-        let tgd = &self.mapping.st_tgds()[ti];
-        let mut fired_total = 0usize;
-        for (h, iv) in homs {
-            let (check, existentials) = &self.checks[ti];
-            match check {
-                Check::Direct => {
-                    let mut fired = false;
-                    for atom in &tgd.head {
-                        let rel = target_rel(self.mapping, atom)?;
-                        let row: Row = instantiate(atom, &h).into();
-                        if target.insert(rel, Arc::clone(&row), iv) {
-                            register_memo(
-                                &mut self.memos,
-                                self.checks.iter().map(|(c, _)| c),
-                                rel,
-                                &row,
-                                iv,
-                            );
-                            fired = true;
-                        }
-                    }
-                    if fired {
-                        fired_total += 1;
-                    }
-                    continue;
-                }
-                Check::Memo { rel: _, cols } => {
-                    let key = memo_probe_key(cols, &tgd.head[0], &h)?;
-                    if self.memos[ti].contains(&(key, iv)) {
-                        continue;
-                    }
-                }
-                Check::Probe => {
-                    if target.exists_match_with(
-                        &tgd.head,
-                        TemporalMode::Shared,
-                        &h,
-                        Some(iv),
-                        sopts,
-                    )? {
-                        continue;
-                    }
-                }
-            }
-            let mut env = h;
-            for v in existentials {
-                env.push((*v, Value::Null(self.nulls.fresh())));
-            }
-            for atom in &tgd.head {
-                let rel = target_rel(self.mapping, atom)?;
-                let row: Row = instantiate(atom, &env).into();
-                if target.insert(rel, Arc::clone(&row), iv) {
-                    register_memo(
-                        &mut self.memos,
-                        self.checks.iter().map(|(c, _)| c),
-                        rel,
-                        &row,
-                        iv,
-                    );
-                }
-            }
-            fired_total += 1;
-        }
-        Ok(fired_total)
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -415,74 +284,16 @@ pub struct TrafficStats {
     pub quarantines: u64,
 }
 
-/// Per server, per relation: the global gid of each routed fact — the
-/// route maps that translate server-local image pairs back.
-type RouteMaps = Vec<Vec<Vec<u32>>>;
-
-/// Discovered overlap-image pair groups, in global fact refs.
-type PairImages = Vec<Vec<FactRef>>;
-
 /// One routed image set (see [`DistributedCluster::route_lists`]).
 struct Routed {
     /// Per server: the concatenated pre + delta lists per relation.
     images: Vec<FactLists>,
     /// Per server: the pre/delta boundary per relation.
     splits: Vec<Vec<u64>>,
-    /// The route maps for this routing.
-    gids: RouteMaps,
-    /// Per server, per relation: fresh flags of the routed delta facts
-    /// (empty unless requested).
-    fresh: Vec<Vec<Vec<bool>>>,
-}
-
-/// Accumulates server-local image pairs, translated through the route maps
-/// to global gids and deduplicated across servers — every boundary pair is
-/// reported by each server holding both replicas, but an overlapping pair's
-/// intersection always lands in a partition both facts are shipped to, so
-/// the deduplicated union over the servers is exactly the global pair set
-/// of coordinator-local [`discover_images`]
-/// (crate::chase::partitioned::discover_images).
-struct ImageUnion {
-    nrels: usize,
-    seen: FxHashSet<(u64, u64)>,
-    pairs: Vec<Vec<FactRef>>,
-}
-
-impl ImageUnion {
-    fn new(nrels: usize) -> Self {
-        ImageUnion {
-            nrels,
-            seen: Default::default(),
-            pairs: Vec::new(),
-        }
-    }
-
-    /// Folds one server's pairs in; `gids` is that server's route map.
-    fn absorb(&mut self, s: usize, pairs: Vec<ImagePair>, gids: &[Vec<u32>]) -> Result<()> {
-        let translate = |r: u32, local: u32| -> Result<FactRef> {
-            let map = gids.get(r as usize).ok_or_else(|| {
-                transport_err(s, format!("image pair names unknown relation {r}"))
-            })?;
-            let gid = map
-                .get(local as usize)
-                .ok_or_else(|| transport_err(s, format!("image pair gid {local} out of range")))?;
-            Ok((RelId(r), *gid))
-        };
-        debug_assert!(gids.len() == self.nrels);
-        for (ra, la, rb, lb) in pairs {
-            let (ka, kb) = (pack_ref(translate(ra, la)?), pack_ref(translate(rb, lb)?));
-            let key = if ka <= kb { (ka, kb) } else { (kb, ka) };
-            if self.seen.insert(key) {
-                self.pairs.push(vec![unpack_ref(key.0), unpack_ref(key.1)]);
-            }
-        }
-        Ok(())
-    }
 }
 
 /// Sorts per-partition wire homs into ascending partition order and
-/// re-interns them per tgd — shared by the unfused and fused tgd rounds so
-/// both fold byte-identically.
+/// re-interns them per tgd.
 fn fold_wire_homs(
     mut grouped: Vec<super::protocol::PartitionHoms>,
     tgd_count: usize,
@@ -814,13 +625,11 @@ impl DistributedCluster {
                 cluster.src_rels,
                 expected[0],
                 &vec![Vec::new(); cluster.src_rels],
-                None,
             ),
             cluster.route_lists(
                 cluster.tgt_rels,
                 expected[1],
                 &vec![Vec::new(); cluster.tgt_rels],
-                None,
             ),
         ];
         // A server that dies during this probe goes through the ordinary
@@ -1153,36 +962,21 @@ impl DistributedCluster {
 
     /// Routes `pre ++ delta` into per-server images: per relation the
     /// concatenated pre + delta facts overlapping each server's owned
-    /// ranges (owner + boundary replicas), the boundary between the two
-    /// blocks, the *global* gid of every routed fact (its index in the
-    /// coordinator's own `pre ++ delta` list — the route map that
-    /// translates server-local image pairs back), and, when `fresh` is
-    /// given, the routed delta facts' fresh flags.
-    fn route_lists(
-        &self,
-        nrels: usize,
-        pre: &FactLists,
-        delta: &FactLists,
-        fresh: Option<&[Vec<bool>]>,
-    ) -> Routed {
+    /// ranges (owner + boundary replicas), and the boundary between the
+    /// two blocks.
+    fn route_lists(&self, nrels: usize, pre: &FactLists, delta: &FactLists) -> Routed {
         let mut routed = Routed {
             images: vec![vec![Vec::new(); nrels]; self.servers],
             splits: vec![vec![0; nrels]; self.servers],
-            gids: vec![vec![Vec::new(); nrels]; self.servers],
-            fresh: vec![vec![Vec::new(); nrels]; self.servers],
         };
         for (block, lists) in [pre, delta].into_iter().enumerate() {
             for (r, facts) in lists.iter().enumerate() {
-                for (i, fact) in facts.iter().enumerate() {
-                    let gid = if block == 0 { i } else { pre[r].len() + i } as u32;
+                for fact in facts {
                     let (lo, hi) = self.tp.servers_overlapping(&fact.interval, self.servers);
                     for s in lo..=hi {
                         routed.images[s][r].push(fact.clone());
-                        routed.gids[s][r].push(gid);
                         if block == 0 {
                             routed.splits[s][r] += 1;
-                        } else if let Some(flags) = fresh {
-                            routed.fresh[s][r].push(flags[r][i]);
                         }
                     }
                 }
@@ -1243,7 +1037,7 @@ impl DistributedCluster {
             StoreKind::Source => self.src_rels,
             StoreKind::Target => self.tgt_rels,
         };
-        let routed = self.route_lists(nrels, pre, delta, None);
+        let routed = self.route_lists(nrels, pre, delta);
         let mut frames = Vec::with_capacity(self.servers);
         for s in 0..self.servers {
             let (sync, shipped_facts) =
@@ -1267,46 +1061,29 @@ impl DistributedCluster {
         Ok(())
     }
 
-    /// Ships one fused frame per server — sync program + fresh flags +
-    /// discovery request — and collects the responses. The retained-image
-    /// cache is updated only *after* the broadcast succeeds, so a server
-    /// that dies mid-fused-round is respawned to its pre-frame image and
-    /// re-answers the identical frame. Returns the raw responses plus the
-    /// per-server route maps for translating image pairs back to global
-    /// gids.
+    /// Ships one fused frame per server — the sync program for `store` plus
+    /// the enumeration request it implies — and collects the responses.
+    /// The retained-image cache is updated only *after* the broadcast
+    /// succeeds, so a server that dies mid-fused-round is respawned to its
+    /// pre-frame image and re-answers the identical frame.
     fn fused_exchange(
         &mut self,
         store: StoreKind,
         pre: &FactLists,
         delta: &FactLists,
-        fresh: Option<&[Vec<bool>]>,
-        discover: bool,
-    ) -> Result<(Vec<Response>, RouteMaps)> {
+    ) -> Result<Vec<Response>> {
         let nrels = match store {
             StoreKind::Source => self.src_rels,
             StoreKind::Target => self.tgt_rels,
         };
-        let mut routed = self.route_lists(nrels, pre, delta, if discover { fresh } else { None });
+        let routed = self.route_lists(nrels, pre, delta);
         let mut frames = Vec::with_capacity(self.servers);
         for s in 0..self.servers {
             let (sync, shipped_facts) =
                 self.sync_program(store, s, &routed.images[s], &routed.splits[s]);
-            let fresh_s = if discover {
-                std::mem::take(&mut routed.fresh[s])
-            } else {
-                Vec::new()
-            };
             let msg = match store {
-                StoreKind::Source => Message::TgdRoundFused {
-                    sync,
-                    fresh: fresh_s,
-                    discover,
-                },
-                StoreKind::Target => Message::EgdRoundFused {
-                    sync,
-                    fresh: fresh_s,
-                    discover,
-                },
+                StoreKind::Source => Message::TgdRoundFused { sync },
+                StoreKind::Target => Message::EgdRoundFused { sync },
             };
             let frame = encode(&msg);
             self.traffic.apply_delta_bytes += frame.len() as u64;
@@ -1317,31 +1094,27 @@ impl DistributedCluster {
         for (s, (image, split)) in routed.images.into_iter().zip(routed.splits).enumerate() {
             self.slots[s].shipped[store.idx()] = Some((image, split));
         }
-        Ok((resps, routed.gids))
+        Ok(resps)
     }
 
-    /// One fused tgd round: sync + (optional) Algorithm-1 discovery + match
-    /// enumeration in a single round trip per server. Returns the
-    /// homomorphisms per tgd (ascending partition order, as
-    /// [`run_tgd_round`](Self::run_tgd_round)) and the discovered pair
-    /// images translated to global gids and deduplicated across servers.
+    /// One fused tgd round: sync the source lists and enumerate the
+    /// delta-touching tgd matches in a single round trip per server.
+    /// Returns the homomorphisms per tgd in ascending partition order —
+    /// the same for every server count.
     pub fn run_tgd_round_fused(
         &mut self,
         pre: &FactLists,
         delta: &FactLists,
-        fresh: Option<&[Vec<bool>]>,
-        discover: bool,
         tgd_count: usize,
-    ) -> Result<(Vec<Vec<Hom>>, PairImages)> {
-        let (resps, gids) = self.fused_exchange(StoreKind::Source, pre, delta, fresh, discover)?;
+    ) -> Result<Vec<Vec<Hom>>> {
         let mut grouped: Vec<super::protocol::PartitionHoms> = Vec::new();
-        let mut images = ImageUnion::new(self.src_rels);
-        for (s, resp) in resps.into_iter().enumerate() {
+        for (s, resp) in self
+            .fused_exchange(StoreKind::Source, pre, delta)?
+            .into_iter()
+            .enumerate()
+        {
             match resp {
-                Response::TgdFused { homs, images: im } => {
-                    grouped.extend(homs);
-                    images.absorb(s, im, &gids[s])?;
-                }
+                Response::TgdFused { homs } => grouped.extend(homs),
                 other => {
                     return Err(transport_err(
                         s,
@@ -1350,83 +1123,29 @@ impl DistributedCluster {
                 }
             }
         }
-        Ok((fold_wire_homs(grouped, tgd_count)?, images.pairs))
+        fold_wire_homs(grouped, tgd_count)
     }
 
-    /// One fused egd round: sync + (optional) renormalization discovery +
-    /// local merge enumeration in a single round trip per server. Returns
-    /// the merge ops (ascending partition order, as
-    /// [`run_egd_round`](Self::run_egd_round)) and the discovered pair
-    /// images in global gids.
+    /// One fused egd round: sync the target lists and enumerate the
+    /// delta-touching egd matches in a single round trip per server.
+    /// Returns the merge operations in ascending partition order.
     pub fn run_egd_round_fused(
         &mut self,
         pre: &FactLists,
         delta: &FactLists,
-        fresh: Option<&[Vec<bool>]>,
-        discover: bool,
-    ) -> Result<(Vec<MergeOp>, PairImages)> {
-        let (resps, gids) = self.fused_exchange(StoreKind::Target, pre, delta, fresh, discover)?;
+    ) -> Result<Vec<MergeOp>> {
         let mut grouped: Vec<super::protocol::PartitionMerges> = Vec::new();
-        let mut images = ImageUnion::new(self.tgt_rels);
-        for (s, resp) in resps.into_iter().enumerate() {
+        for (s, resp) in self
+            .fused_exchange(StoreKind::Target, pre, delta)?
+            .into_iter()
+            .enumerate()
+        {
             match resp {
-                Response::EgdFused { merges, images: im } => {
-                    grouped.extend(merges);
-                    images.absorb(s, im, &gids[s])?;
-                }
+                Response::EgdFused { merges } => grouped.extend(merges),
                 other => {
                     return Err(transport_err(
                         s,
                         format!("unexpected response to EgdRoundFused: {other:?}"),
-                    ))
-                }
-            }
-        }
-        grouped.sort_by_key(|(p, _)| *p);
-        Ok((
-            grouped.into_iter().flat_map(|(_, ops)| ops).collect(),
-            images.pairs,
-        ))
-    }
-
-    /// Runs one tgd round on every server and returns, per tgd, the
-    /// enumerated homomorphisms in ascending partition order — the same for
-    /// every server count.
-    pub fn run_tgd_round(&mut self, tgd_count: usize) -> Result<Vec<Vec<Hom>>> {
-        let mut grouped: Vec<(u64, Vec<Vec<super::protocol::WireHom>>)> = Vec::new();
-        for (s, resp) in self
-            .broadcast_same(&Message::RunTgdRound)?
-            .into_iter()
-            .enumerate()
-        {
-            match resp {
-                Response::Homs(h) => grouped.extend(h),
-                other => {
-                    return Err(transport_err(
-                        s,
-                        format!("unexpected response to RunTgdRound: {other:?}"),
-                    ))
-                }
-            }
-        }
-        fold_wire_homs(grouped, tgd_count)
-    }
-
-    /// Runs one local egd round on every server and returns the merge
-    /// operations in ascending partition order.
-    pub fn run_egd_round(&mut self) -> Result<Vec<MergeOp>> {
-        let mut grouped: Vec<super::protocol::PartitionMerges> = Vec::new();
-        for (s, resp) in self
-            .broadcast_same(&Message::RunLocalEgdRound)?
-            .into_iter()
-            .enumerate()
-        {
-            match resp {
-                Response::Merges(ops) => grouped.extend(ops),
-                other => {
-                    return Err(transport_err(
-                        s,
-                        format!("unexpected response to RunLocalEgdRound: {other:?}"),
                     ))
                 }
             }
@@ -1542,7 +1261,7 @@ impl Drop for DistributedCluster {
 /// Audits that the union of the servers' owner facts equals the
 /// coordinator's fact lists (as multisets) — the invariant `ApplyDelta`
 /// shipping must maintain. Cheap relative to a chase round; used by the
-/// engine after the egd fixpoint (debug builds) and by the protocol tests.
+/// protocol tests.
 pub fn snapshot_consistent(
     cluster: &mut DistributedCluster,
     store: StoreKind,
@@ -1569,314 +1288,17 @@ pub fn snapshot_consistent(
     Ok(expected.values().all(|&n| n == 0))
 }
 
-/// The distributed c-chase. Same contract as
-/// [`c_chase_with`](crate::chase::concrete::c_chase_with); dispatched from
-/// there for [`ChaseEngine::Distributed`](crate::chase::concrete::ChaseEngine).
-pub(crate) fn c_chase_distributed(
-    ic: &TemporalInstance,
-    mapping: &SchemaMapping,
-    opts: &ChaseOptions,
-    servers: usize,
-) -> Result<CChaseResult> {
-    c_chase_distributed_with(
-        ic,
-        mapping,
-        opts,
-        servers,
-        spawner_for(resolve_transport(opts.transport)),
-    )
-}
-
-/// [`c_chase_distributed`] through an explicit spawner — the injection
-/// point the fault-injection tests use.
-pub fn c_chase_distributed_with(
-    ic: &TemporalInstance,
-    mapping: &SchemaMapping,
-    opts: &ChaseOptions,
-    servers: usize,
-    spawner: Arc<dyn TransportSpawner>,
-) -> Result<CChaseResult> {
-    let servers = crate::chase::server_count(servers);
-    let threads = crate::chase::worker_threads(0);
-    let sopts = opts.search_options();
-    let mut stats = ChaseStats {
-        source_facts_in: ic.total_len(),
-        ..ChaseStats::default()
-    };
-    let mut trace: Vec<String> = Vec::new();
-    let log = |opts: &ChaseOptions, trace: &mut Vec<String>, msg: String| {
-        if opts.record_trace {
-            trace.push(msg);
-        }
-    };
-
-    // Same coarse timeline partition as the partitioned engine: the count
-    // is a locality knob, independent of the server count, which keeps the
-    // result byte-identical across cluster sizes.
-    let parts_hint = 16;
-    let tp = TimelinePartition::new(&ic.endpoints().coarsen(parts_hint));
-    let mut cluster = DistributedCluster::spawn_with_deadline(
-        mapping,
-        &tp,
-        servers,
-        sopts,
-        spawner,
-        opts.frame_deadline,
-    )?;
-    log(
-        opts,
-        &mut trace,
-        format!(
-            "distributed chase: {} timeline partitions over {} servers ({:?} transport)",
-            tp.len(),
-            cluster.servers(),
-            cluster.transport()
-        ),
-    );
-
-    // Steps 1–2, fused: normalize the source w.r.t. the s-t tgd bodies and
-    // enumerate the tgd matches. When every body is sweepable the fixpoint
-    // runs *optimistically distributed*: each fused frame ships the current
-    // lists and asks the servers to both discover Algorithm-1 images over
-    // their blocks and enumerate matches. If the folded cuts come back
-    // empty the lists were already normal and the piggybacked enumerations
-    // are used as-is — the steady state costs one round trip per server.
-    // Otherwise the enumerations are discarded, the cuts applied, and the
-    // next frame re-ships only the fragments. Generic (>2-atom) bodies and
-    // naive mode keep the fixpoint coordinator-local and ship one
-    // enumerate-only fused frame.
-    let tgd_bodies = mapping.tgd_bodies();
-    let nrels_src = mapping.source().len();
-    let src_schema = Arc::new(mapping.source().clone());
-    let tgds = mapping.st_tgds();
-    let mut src_pre: FactLists = vec![Vec::new(); nrels_src];
-    let mut src_delta: FactLists = (0..nrels_src)
-        .map(|r| ic.facts(RelId(r as u32)).to_vec())
-        .collect();
-    let src_sweep = (!opts.naive_normalization)
-        .then(|| sweep_specs(&src_schema, &tgd_bodies))
-        .flatten();
-    let homs_per_tgd = match &src_sweep {
-        Some(specs) => {
-            let discover = !specs.is_empty();
-            let mut fresh: Vec<Vec<bool>> = src_delta.iter().map(|d| vec![true; d.len()]).collect();
-            loop {
-                let (homs, images) = cluster.run_tgd_round_fused(
-                    &src_pre,
-                    &src_delta,
-                    Some(&fresh),
-                    discover,
-                    tgds.len(),
-                )?;
-                let mut cuts = CutMap::default();
-                image_cuts(&images, &src_pre, &src_delta, &mut cuts);
-                base_align_cuts(&src_pre, &src_delta, &mut cuts);
-                if cuts.is_empty() {
-                    break homs;
-                }
-                (src_pre, src_delta, fresh) = apply_cuts(nrels_src, &cuts, src_pre, src_delta);
-            }
-        }
-        None => {
-            (src_pre, src_delta) = refragment_lists(
-                &src_schema,
-                &tp,
-                threads,
-                sopts,
-                Some(&tgd_bodies),
-                opts.naive_normalization,
-                src_pre,
-                src_delta,
-            )?;
-            cluster
-                .run_tgd_round_fused(&src_pre, &src_delta, None, false, tgds.len())?
-                .0
-        }
-    };
-    stats.source_facts_normalized = src_pre
-        .iter()
-        .chain(src_delta.iter())
-        .map(|l| l.len())
-        .sum();
-    log(
-        opts,
-        &mut trace,
-        format!(
-            "normalized source w.r.t. Σst: {} → {} facts",
-            stats.source_facts_in, stats.source_facts_normalized
-        ),
-    );
-    let mut target = TemporalInstance::new(Arc::new(mapping.target().clone()));
-    let mut folder = TgdFolder::new(mapping)?;
-    for (ti, homs) in homs_per_tgd.into_iter().enumerate() {
-        stats.tgd_steps += folder.fold(ti, homs, &mut target, sopts)?;
-    }
-    stats.nulls_created = folder.nulls.peek();
-    stats.target_facts_after_tgd = target.total_len();
-    log(
-        opts,
-        &mut trace,
-        format!("tgd round: {} steps fired", stats.tgd_steps),
-    );
-
-    // Steps 3–4: initial target normalization on the coordinator, then
-    // local egd rounds on the servers with the global union-find (and the
-    // rewrite/re-fragmentation it implies) on the coordinator.
-    let tgt_schema = target.schema_arc();
-    let nrels_tgt = tgt_schema.len();
-    let egd_bodies = mapping.egd_bodies();
-    if egd_bodies.is_empty() && target.nulls().is_empty() {
-        stats.target_facts_normalized = target.total_len();
-        if opts.coalesce_result {
-            target = target.coalesced();
-        }
-        stats.target_facts_out = target.total_len();
-        return Ok(CChaseResult {
-            target,
-            normalized_source: lists_to_instance(&src_schema, &src_pre, &src_delta),
-            stats,
-            trace,
-        });
-    }
-    let mut pre: FactLists = vec![Vec::new(); nrels_tgt];
-    let mut delta: FactLists = (0..nrels_tgt)
-        .map(|r| target.facts(RelId(r as u32)).to_vec())
-        .collect();
-    let egds = mapping.egds();
-    let tgt_sweep = (!opts.naive_normalization)
-        .then(|| sweep_specs(&tgt_schema, &egd_bodies))
-        .flatten();
-    let mut fresh: Vec<Vec<bool>> = delta.iter().map(|d| vec![true; d.len()]).collect();
-    // Step 3's initial normalization is always w.r.t. Σeg; after each
-    // union-find rewrite, re-discovery is the
-    // `renormalize_between_egd_rounds` knob (alignment cuts always run).
-    let mut discover_round = true;
-    let mut normalized_recorded = false;
-    let mut first_round = true;
-    loop {
-        // Normalize the current lists, then enumerate merges — through the
-        // optimistic fused fixpoint when the egd bodies are sweepable, or a
-        // coordinator-local fixpoint plus one enumerate-only frame when not.
-        let ops = match &tgt_sweep {
-            Some(specs) => loop {
-                let (ops, images) = cluster.run_egd_round_fused(
-                    &pre,
-                    &delta,
-                    Some(&fresh),
-                    discover_round && !specs.is_empty(),
-                )?;
-                let mut cuts = CutMap::default();
-                if discover_round {
-                    image_cuts(&images, &pre, &delta, &mut cuts);
-                }
-                base_align_cuts(&pre, &delta, &mut cuts);
-                if cuts.is_empty() {
-                    break ops;
-                }
-                (pre, delta, fresh) = apply_cuts(nrels_tgt, &cuts, pre, delta);
-            },
-            None => {
-                let renorm = discover_round.then_some(egd_bodies.as_slice());
-                (pre, delta) = refragment_lists(
-                    &tgt_schema,
-                    &tp,
-                    threads,
-                    sopts,
-                    renorm,
-                    opts.naive_normalization,
-                    std::mem::take(&mut pre),
-                    std::mem::take(&mut delta),
-                )?;
-                cluster.run_egd_round_fused(&pre, &delta, None, false)?.0
-            }
-        };
-        if !normalized_recorded {
-            normalized_recorded = true;
-            stats.target_facts_normalized = pre.iter().chain(delta.iter()).map(|l| l.len()).sum();
-        }
-        let mut uf = AnnotatedUnionFind::new();
-        let merges = fold_merge_ops(
-            ops.into_iter()
-                .map(|(ei, a, b, iv)| (ei as usize, a, b, iv)),
-            &mut uf,
-            |ei| {
-                let egd = &egds[ei];
-                egd.name.clone().unwrap_or_else(|| egd.to_string())
-            },
-        )?;
-        if merges == 0 {
-            break;
-        }
-        stats.egd_rounds += 1;
-        stats.egd_merges += merges;
-        if !first_round {
-            stats.egd_delta_rounds += 1;
-        }
-        first_round = false;
-        log(
-            opts,
-            &mut trace,
-            format!(
-                "egd round {}: {merges} identifications from local server rounds",
-                stats.egd_rounds
-            ),
-        );
-        (pre, delta) = rewrite_values(&tgt_schema, &pre, &delta, &mut uf);
-        if tgt_sweep.is_some() {
-            fresh = delta.iter().map(|d| vec![true; d.len()]).collect();
-        }
-        discover_round = opts.renormalize_between_egd_rounds;
-    }
-
-    // The servers' owner blocks must tile the coordinator's target exactly —
-    // the shipping invariant the protocol relies on. The audit re-serializes
-    // the whole target through `Snapshot`, so it runs in debug builds and
-    // the protocol tests (`tests/distributed.rs`), not on release chases.
-    if cfg!(debug_assertions) {
-        let settled: FactLists = pre
-            .iter()
-            .zip(delta.iter())
-            .map(|(p, d)| p.iter().chain(d.iter()).cloned().collect())
-            .collect();
-        if !snapshot_consistent(&mut cluster, StoreKind::Target, &settled)? {
-            return Err(TdxError::Invalid(
-                "distributed chase: server snapshots diverged from the coordinator".into(),
-            ));
-        }
-    }
-
-    let mut target = lists_to_instance(&tgt_schema, &pre, &delta);
-    if opts.coalesce_result {
-        target = target.coalesced();
-    }
-    stats.target_facts_out = target.total_len();
-    Ok(CChaseResult {
-        target,
-        normalized_source: lists_to_instance(&src_schema, &src_pre, &src_delta),
-        stats,
-        trace,
-    })
-}
-
-fn lists_to_instance(schema: &Arc<Schema>, pre: &FactLists, delta: &FactLists) -> TemporalInstance {
-    let mut out = TemporalInstance::new(Arc::clone(schema));
-    for (r, (p, d)) in pre.iter().zip(delta.iter()).enumerate() {
-        let rel = RelId(r as u32);
-        for fact in p.iter().chain(d.iter()) {
-            out.insert(rel, Arc::clone(&fact.data), fact.interval);
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chase::cluster::transport::{ChannelSpawner, FaultInjector};
-    use crate::chase::concrete::c_chase_with;
+    use crate::chase::cluster::chaos::{ChaosSpawner, FaultKind, FaultPlan};
+    use crate::chase::cluster::transport::ChannelSpawner;
+    use crate::chase::concrete::{c_chase_with, ChaseOptions};
+    use crate::chase::incremental::c_chase_distributed_with;
     use crate::hom::hom_equivalent;
     use crate::semantics::semantics;
     use tdx_logic::{parse_egd, parse_schema, parse_tgd};
+    use tdx_storage::TemporalInstance;
 
     fn iv(s: u64, e: u64) -> Interval {
         Interval::new(s, e)
@@ -2136,8 +1558,8 @@ mod tests {
     #[test]
     fn retry_path_respawns_a_killed_server_and_restores_the_fixpoint() {
         // Kill server 1 of 3 at every frame offset it ever reaches — the
-        // handshake, then each fused round — until the injector stops
-        // tripping; the retry path must respawn it, replay its watermarked
+        // handshake, then each fused round — until the fault stops
+        // firing; the retry path must respawn it, replay its watermarked
         // (pre-frame) images and finish with a result hom-equivalent to
         // (indeed byte-identical to) an unfaulted channel run.
         let mapping = paper_mapping();
@@ -2145,13 +1567,16 @@ mod tests {
         let clean = c_chase_with(&source, &mapping, &ChaseOptions::distributed(3)).unwrap();
         let mut kill_after = 0usize;
         loop {
-            let injector = Arc::new(FaultInjector::new(Arc::new(ChannelSpawner), 1, kill_after));
+            let spawner = Arc::new(ChaosSpawner::new(
+                Arc::new(ChannelSpawner),
+                &FaultPlan::single(1, kill_after, FaultKind::PartialWrite),
+            ));
             let faulted = c_chase_distributed_with(
                 &source,
                 &mapping,
                 &ChaseOptions::distributed(3),
                 3,
-                Arc::clone(&injector) as Arc<dyn TransportSpawner>,
+                Arc::clone(&spawner) as Arc<dyn TransportSpawner>,
             )
             .unwrap_or_else(|e| panic!("kill_after {kill_after}: chase failed: {e:?}"));
             assert_eq!(
@@ -2162,7 +1587,7 @@ mod tests {
                 &semantics(&clean.target),
                 &semantics(&faulted.target)
             ));
-            if !injector.tripped() {
+            if spawner.fired() == 0 {
                 break; // past the last frame the victim ever sees
             }
             kill_after += 1;
@@ -2269,13 +1694,16 @@ mod tests {
         // quarantine forever.
         let mapping = paper_mapping();
         let tp = TimelinePartition::new(&tdx_temporal::Breakpoints::from_points([10]));
-        let injector = Arc::new(FaultInjector::new(Arc::new(ChannelSpawner), 0, 1));
+        let spawner = Arc::new(ChaosSpawner::new(
+            Arc::new(ChannelSpawner),
+            &FaultPlan::single(0, 1, FaultKind::PartialWrite),
+        ));
         let mut cluster = DistributedCluster::spawn_with(
             &mapping,
             &tp,
             1,
             SearchOptions::default(),
-            injector as Arc<dyn TransportSpawner>,
+            spawner as Arc<dyn TransportSpawner>,
         )
         .unwrap();
         // The Hello consumed the one pre-fault frame; the first heartbeat

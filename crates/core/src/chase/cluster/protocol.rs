@@ -28,15 +28,10 @@
 //!   inserts only the rewritten facts. A single `Insert` of everything is
 //!   a full re-ship — what a fresh or respawned server gets.
 //! * [`Message::TgdRoundFused`] / [`Message::EgdRoundFused`] — the **fused
-//!   frames** (protocol v2): apply a sync program, optionally run
-//!   Algorithm-1 pair discovery over the synced lists, and enumerate the
-//!   delta-touching tgd/egd body matches — all in one round trip. The
-//!   response carries the matches *and* the discovered overlap-image
-//!   pairs (as server-local fact ids the coordinator translates through
-//!   its routing table), so a steady-state round costs one barrier
-//!   instead of three (`ApplyDelta` → enumerate → re-ship).
-//! * [`Message::RunTgdRound`] / [`Message::RunLocalEgdRound`] — the
-//!   unfused v1 enumerations, kept for replay and the protocol tests.
+//!   rounds**: apply a sync program to the `Source` (resp. `Target`) store
+//!   and enumerate the delta-touching tgd (resp. egd) body matches of the
+//!   owned partitions, in one round trip. Normalization stays on the
+//!   coordinator, so a steady-state round costs one barrier per server.
 //! * [`Message::Snapshot`] — audit view of the server's owner and replica
 //!   facts.
 //! * [`Message::Ping`] — liveness heartbeat, answered by
@@ -61,21 +56,45 @@ use tdx_temporal::{Interval, TimelinePartition};
 /// retain.
 pub type FactLists = Vec<Vec<TemporalFact>>;
 
-/// Wire-protocol version, carried inside every [`Message::Ping`]. Bump on
-/// ANY change to a message payload (not just new tags): the TCP spawner's
-/// connect-time ping probe then detects a version-skewed `tdx` binary —
-/// same tags, different payloads — and degrades to an in-process server
-/// instead of poisoning the cluster mid-round.
+/// Wire-protocol version, carried inside every [`Message::Ping`] and
+/// [`Message::Hello`]. Bump on ANY change to a message payload (not just
+/// new tags): the TCP spawner's connect-time ping probe then detects a
+/// version-skewed `tdx` binary — same tags, different payloads — and
+/// degrades to an in-process server, and a skewed peer that skipped the
+/// probe (a reconnected listen-mode server) rejects the handshake instead
+/// of misreading the rounds that follow.
 ///
 /// v2: fused round frames ([`Message::TgdRoundFused`],
-/// [`Message::EgdRoundFused`]) and server-side Algorithm-1 discovery
-/// ([`Response::TgdFused`], [`Response::EgdFused`]).
+/// [`Message::EgdRoundFused`]).
 ///
 /// v3: the reconnect handshake ([`Message::Resume`] /
 /// [`Response::ResumeState`]) — a restarted coordinator asks a surviving
 /// server what configuration and retained images it still holds, and
 /// adopts them when the digests match instead of re-shipping everything.
-pub const PROTOCOL_VERSION: u32 = 3;
+///
+/// v4: one protocol generation. The unfused v1 enumeration frames and
+/// their responses are gone, the fused frames no longer request or return
+/// server-side Algorithm-1 discovery (normalization stays on the
+/// coordinator), and `Hello` carries the version.
+pub const PROTOCOL_VERSION: u32 = 4;
+
+/// Writes this build's [`PROTOCOL_VERSION`] stamp.
+fn write_version(w: &mut ByteWriter) {
+    w.u32(PROTOCOL_VERSION);
+}
+
+/// Reads a version stamp and rejects any other generation with the typed
+/// version-mismatch [`CodecError`].
+fn read_version(r: &mut ByteReader<'_>) -> std::result::Result<(), CodecError> {
+    let version = r.u32()?;
+    if version != PROTOCOL_VERSION {
+        return Err(CodecError(format!(
+            "protocol version mismatch: peer speaks v{version}, \
+             this build speaks v{PROTOCOL_VERSION}"
+        )));
+    }
+    Ok(())
+}
 
 /// Which of a server's two stores a message addresses.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -217,12 +236,6 @@ pub enum Message {
         /// Per relation: the sync program against the retained image.
         sync: Vec<RelationSync>,
     },
-    /// Enumerate delta-touching s-t tgd body matches over the owned
-    /// partitions; respond with [`Response::Homs`].
-    RunTgdRound,
-    /// Enumerate delta-touching egd body matches over the owned
-    /// partitions; respond with [`Response::Merges`].
-    RunLocalEgdRound,
     /// Return the server's owner and replica facts for `store`; respond
     /// with [`Response::Facts`].
     Snapshot {
@@ -233,32 +246,18 @@ pub enum Message {
     Ping,
     /// Terminate the server loop; respond with [`Response::Stopped`].
     Shutdown,
-    /// Fused round (v2): sync the `Source` store, then enumerate the
-    /// delta-touching tgd matches — and, when `discover` is set, run the
-    /// Algorithm-1 two-atom overlap sweep over the synced lists. Respond
-    /// with [`Response::TgdFused`]. One barrier replaces the v1
-    /// `ApplyDelta` → `RunTgdRound` pair.
+    /// Fused round: sync the `Source` store, then enumerate the
+    /// delta-touching tgd matches of the owned partitions. Respond with
+    /// [`Response::TgdFused`].
     TgdRoundFused {
         /// Per relation: the sync program against the retained image.
         sync: Vec<RelationSync>,
-        /// Per relation, per *delta-block* fact of the reconstructed
-        /// list: whether the fact is fresh (changed since the last
-        /// discovery pass) — the semi-naive restriction the sweep
-        /// honors. Empty when `discover` is false.
-        fresh: Vec<Vec<bool>>,
-        /// Run pair discovery over the synced lists.
-        discover: bool,
     },
-    /// Fused round (v2): sync the `Target` store, then enumerate the
-    /// delta-touching egd matches, with the same optional discovery
-    /// sweep. Respond with [`Response::EgdFused`].
+    /// Fused round: sync the `Target` store, then enumerate the
+    /// delta-touching egd matches. Respond with [`Response::EgdFused`].
     EgdRoundFused {
         /// Per relation: the sync program against the retained image.
         sync: Vec<RelationSync>,
-        /// Fresh flags for the delta block, as in [`Message::TgdRoundFused`].
-        fresh: Vec<Vec<bool>>,
-        /// Run pair discovery over the synced lists.
-        discover: bool,
     },
     /// Reconnect probe (v3): report the digests of the configuration and
     /// retained images this server still holds, without touching them.
@@ -285,13 +284,6 @@ pub type PartitionMerges = (u64, Vec<MergeOp>);
 /// coordinator's deterministic ascending fold.
 pub type PartitionHoms = (u64, Vec<Vec<WireHom>>);
 
-/// One discovered overlap-image pair, in **server-local** fact ids:
-/// `(rel_a, local_gid_a, rel_b, local_gid_b)`, where a local gid indexes
-/// the server's reconstructed pre + delta list of that relation. The
-/// coordinator translates local gids to global ones through the routing
-/// table it built while shipping.
-pub type ImagePair = (u32, u32, u32, u32);
-
 /// A server → coordinator response.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Response {
@@ -299,12 +291,6 @@ pub enum Response {
     Ready,
     /// [`Message::ApplyDelta`] acknowledged.
     Applied,
-    /// Per owned partition (ascending), per tgd, the enumerated
-    /// homomorphisms.
-    Homs(Vec<PartitionHoms>),
-    /// Per owned partition (ascending): `(egd index, lhs, rhs, interval)`
-    /// merge operations, in enumeration order.
-    Merges(Vec<PartitionMerges>),
     /// Owner facts and replica facts, per relation.
     Facts {
         /// Facts whose owner partition this server owns.
@@ -316,24 +302,18 @@ pub enum Response {
     Pong,
     /// [`Message::Shutdown`] acknowledged; the server loop has exited.
     Stopped,
-    /// [`Message::TgdRoundFused`] result: the tgd matches of the synced
-    /// lists plus the discovered overlap-image pairs (empty when the
-    /// frame's `discover` was false).
+    /// [`Message::TgdRoundFused`] result: per owned partition (ascending),
+    /// per tgd, the enumerated homomorphisms.
     TgdFused {
-        /// Per owned partition (ascending), per tgd, the enumerated
-        /// homomorphisms — as in [`Response::Homs`].
+        /// The homomorphisms, tagged with their partition.
         homs: Vec<PartitionHoms>,
-        /// Discovered pairs in server-local fact ids.
-        images: Vec<ImagePair>,
     },
-    /// [`Message::EgdRoundFused`] result: the egd merge operations plus
-    /// the discovered overlap-image pairs.
+    /// [`Message::EgdRoundFused`] result: per owned partition (ascending),
+    /// the `(egd index, lhs, rhs, interval)` merge operations in
+    /// enumeration order.
     EgdFused {
-        /// Per owned partition (ascending) merge operations — as in
-        /// [`Response::Merges`].
+        /// The merge operations, tagged with their partition.
         merges: Vec<PartitionMerges>,
-        /// Discovered pairs in server-local fact ids.
-        images: Vec<ImagePair>,
     },
     /// [`Message::Resume`] result: what this server still holds, as
     /// digests. A reconnecting coordinator compares `config` against
@@ -436,6 +416,7 @@ impl Wire for Message {
         match self {
             Message::Hello(cfg) => {
                 w.u8(0);
+                write_version(w);
                 cfg.write(w);
             }
             Message::ApplyDelta { store, sync } => {
@@ -443,72 +424,49 @@ impl Wire for Message {
                 store.write(w);
                 sync.write(w);
             }
-            Message::RunTgdRound => w.u8(2),
-            Message::RunLocalEgdRound => w.u8(3),
             Message::Snapshot { store } => {
                 w.u8(4);
                 store.write(w);
             }
             Message::Ping => {
                 w.u8(5);
-                w.u32(PROTOCOL_VERSION);
+                write_version(w);
             }
             Message::Shutdown => w.u8(6),
-            Message::TgdRoundFused {
-                sync,
-                fresh,
-                discover,
-            } => {
+            Message::TgdRoundFused { sync } => {
                 w.u8(7);
                 sync.write(w);
-                fresh.write(w);
-                discover.write(w);
             }
-            Message::EgdRoundFused {
-                sync,
-                fresh,
-                discover,
-            } => {
+            Message::EgdRoundFused { sync } => {
                 w.u8(8);
                 sync.write(w);
-                fresh.write(w);
-                discover.write(w);
             }
             Message::Resume => w.u8(9),
         }
     }
     fn read(r: &mut ByteReader<'_>) -> std::result::Result<Self, CodecError> {
         match r.u8()? {
-            0 => Ok(Message::Hello(ServerConfig::read(r)?)),
+            0 => {
+                read_version(r)?;
+                Ok(Message::Hello(ServerConfig::read(r)?))
+            }
             1 => Ok(Message::ApplyDelta {
                 store: StoreKind::read(r)?,
                 sync: Wire::read(r)?,
             }),
-            2 => Ok(Message::RunTgdRound),
-            3 => Ok(Message::RunLocalEgdRound),
             4 => Ok(Message::Snapshot {
                 store: StoreKind::read(r)?,
             }),
             5 => {
-                let version = r.u32()?;
-                if version != PROTOCOL_VERSION {
-                    return Err(CodecError(format!(
-                        "protocol version mismatch: peer speaks v{version}, \
-                         this build speaks v{PROTOCOL_VERSION}"
-                    )));
-                }
+                read_version(r)?;
                 Ok(Message::Ping)
             }
             6 => Ok(Message::Shutdown),
             7 => Ok(Message::TgdRoundFused {
                 sync: Wire::read(r)?,
-                fresh: Wire::read(r)?,
-                discover: Wire::read(r)?,
             }),
             8 => Ok(Message::EgdRoundFused {
                 sync: Wire::read(r)?,
-                fresh: Wire::read(r)?,
-                discover: Wire::read(r)?,
             }),
             9 => Ok(Message::Resume),
             tag => Err(CodecError(format!("unknown Message tag {tag}"))),
@@ -521,14 +479,6 @@ impl Wire for Response {
         match self {
             Response::Ready => w.u8(0),
             Response::Applied => w.u8(1),
-            Response::Homs(homs) => {
-                w.u8(2);
-                homs.write(w);
-            }
-            Response::Merges(ops) => {
-                w.u8(3);
-                ops.write(w);
-            }
             Response::Facts { owned, replicas } => {
                 w.u8(4);
                 owned.write(w);
@@ -536,15 +486,13 @@ impl Wire for Response {
             }
             Response::Pong => w.u8(5),
             Response::Stopped => w.u8(6),
-            Response::TgdFused { homs, images } => {
+            Response::TgdFused { homs } => {
                 w.u8(7);
                 homs.write(w);
-                images.write(w);
             }
-            Response::EgdFused { merges, images } => {
+            Response::EgdFused { merges } => {
                 w.u8(8);
                 merges.write(w);
-                images.write(w);
             }
             Response::ResumeState {
                 configured,
@@ -563,8 +511,6 @@ impl Wire for Response {
         match r.u8()? {
             0 => Ok(Response::Ready),
             1 => Ok(Response::Applied),
-            2 => Ok(Response::Homs(Wire::read(r)?)),
-            3 => Ok(Response::Merges(Wire::read(r)?)),
             4 => Ok(Response::Facts {
                 owned: Wire::read(r)?,
                 replicas: Wire::read(r)?,
@@ -573,11 +519,9 @@ impl Wire for Response {
             6 => Ok(Response::Stopped),
             7 => Ok(Response::TgdFused {
                 homs: Wire::read(r)?,
-                images: Wire::read(r)?,
             }),
             8 => Ok(Response::EgdFused {
                 merges: Wire::read(r)?,
-                images: Wire::read(r)?,
             }),
             9 => Ok(Response::ResumeState {
                 configured: Wire::read(r)?,
@@ -654,8 +598,6 @@ mod tests {
                     },
                 ],
             },
-            Message::RunTgdRound,
-            Message::RunLocalEgdRound,
             Message::Snapshot {
                 store: StoreKind::Source,
             },
@@ -669,16 +611,12 @@ mod tests {
                     ],
                     split: 4,
                 }],
-                fresh: vec![vec![true, false, true]],
-                discover: true,
             },
             Message::EgdRoundFused {
                 sync: vec![RelationSync {
                     ops: vec![SyncOp::Insert(vec![fact.clone()])],
                     split: 0,
                 }],
-                fresh: vec![],
-                discover: false,
             },
             Message::Resume,
         ];
@@ -688,14 +626,6 @@ mod tests {
         let resps = [
             Response::Ready,
             Response::Applied,
-            Response::Homs(vec![(
-                3,
-                vec![vec![(vec![("n".to_string(), Value::str("Ada"))], iv(1, 2))]],
-            )]),
-            Response::Merges(vec![(
-                0,
-                vec![(1, Value::str("18k"), Value::Null(NullId(4)), iv(5, 9))],
-            )]),
             Response::Facts {
                 owned: vec![vec![fact.clone()]],
                 replicas: vec![vec![]],
@@ -707,14 +637,12 @@ mod tests {
                     2,
                     vec![vec![(vec![("c".to_string(), Value::str("IBM"))], iv(3, 7))]],
                 )],
-                images: vec![(0, 5, 1, 2), (1, 0, 1, 9)],
             },
             Response::EgdFused {
                 merges: vec![(
                     1,
                     vec![(0, Value::Null(NullId(2)), Value::str("20k"), iv(1, 4))],
                 )],
-                images: vec![],
             },
             Response::ResumeState {
                 configured: true,
@@ -755,6 +683,34 @@ mod tests {
         let mut other_slot = cfg.clone();
         other_slot.owned = vec![0];
         assert_ne!(config_digest(&cfg), config_digest(&other_slot));
+    }
+
+    #[test]
+    fn v3_hello_is_rejected_with_the_version_error() {
+        // A v3 Hello carried no version stamp, and a peer stamping any
+        // other generation is the same skew: both must fail the decode
+        // with the typed version error instead of configuring a server
+        // that would then misread the v4 rounds.
+        let cfg = encode(&sample_config());
+        let unstamped: Vec<u8> = [&[0u8][..], &cfg].concat();
+        let mut w = ByteWriter::new();
+        w.u8(0);
+        w.u32(3);
+        let stamped: Vec<u8> = [w.into_bytes(), cfg].concat();
+        for frame in [&unstamped, &stamped] {
+            let err = decode::<Message>(frame).unwrap_err();
+            assert!(
+                err.0.starts_with("protocol version mismatch"),
+                "unexpected error: {err}"
+            );
+        }
+        assert!(decode::<Message>(&stamped)
+            .unwrap_err()
+            .0
+            .contains("peer speaks v3"));
+        // This build's own Hello still round-trips.
+        let hello = Message::Hello(sample_config());
+        assert_eq!(decode::<Message>(&encode(&hello)).unwrap(), hello);
     }
 
     #[test]
@@ -822,24 +778,16 @@ mod tests {
                         sync,
                     }
                 }
-                2 => Message::RunTgdRound,
+                2 => Message::Shutdown,
                 3 => Message::Snapshot {
                     store: StoreKind::Target,
                 },
                 4 => Message::Ping,
                 5 => Message::TgdRoundFused {
                     sync: rand_sync(&mut rng),
-                    fresh: (0..rng() % 3)
-                        .map(|_| (0..rng() % 8).map(|_| rng() % 2 == 0).collect())
-                        .collect(),
-                    discover: rng() % 2 == 0,
                 },
                 _ => Message::EgdRoundFused {
                     sync: rand_sync(&mut rng),
-                    fresh: (0..rng() % 3)
-                        .map(|_| (0..rng() % 8).map(|_| rng() % 2 == 0).collect())
-                        .collect(),
-                    discover: rng() % 2 == 0,
                 },
             };
             let bytes = encode(&msg);

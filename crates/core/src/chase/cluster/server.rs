@@ -23,10 +23,9 @@
 //! rebuild is local CPU; only genuinely new facts cross the wire.
 
 use super::protocol::{
-    config_digest, image_digest, FactLists, ImagePair, Message, PartitionHoms, PartitionMerges,
-    RelationSync, Response, ServerConfig, StoreKind, SyncOp, WireHom,
+    config_digest, image_digest, FactLists, Message, PartitionHoms, PartitionMerges, RelationSync,
+    Response, ServerConfig, StoreKind, SyncOp, WireHom,
 };
-use crate::chase::partitioned::{sweep_images, sweep_specs, unpack_ref};
 use std::io;
 use std::net::{TcpListener, TcpStream};
 use std::sync::mpsc::{Receiver, Sender};
@@ -104,40 +103,17 @@ impl ServerState {
                 self.apply_sync(store, sync)?;
                 Ok(Response::Applied)
             }
-            Message::RunTgdRound => Ok(Response::Homs(self.tgd_homs()?)),
-            Message::RunLocalEgdRound => Ok(Response::Merges(self.egd_merges()?)),
-            Message::TgdRoundFused {
-                sync,
-                fresh,
-                discover,
-            } => {
-                // The fused v2 round: sync, (optionally) discover, and
-                // enumerate — one barrier on the coordinator.
+            Message::TgdRoundFused { sync } => {
+                // One barrier on the coordinator: sync, then enumerate.
                 self.apply_sync(StoreKind::Source, sync)?;
-                let images = if discover {
-                    self.discover_pairs(StoreKind::Source, &fresh)?
-                } else {
-                    Vec::new()
-                };
                 Ok(Response::TgdFused {
                     homs: self.tgd_homs()?,
-                    images,
                 })
             }
-            Message::EgdRoundFused {
-                sync,
-                fresh,
-                discover,
-            } => {
+            Message::EgdRoundFused { sync } => {
                 self.apply_sync(StoreKind::Target, sync)?;
-                let images = if discover {
-                    self.discover_pairs(StoreKind::Target, &fresh)?
-                } else {
-                    Vec::new()
-                };
                 Ok(Response::EgdFused {
                     merges: self.egd_merges()?,
-                    images,
                 })
             }
             Message::Snapshot { store } => {
@@ -171,8 +147,8 @@ impl ServerState {
     /// rebuilds its local match store — the body of `ApplyDelta` and the
     /// sync half of every fused round. A program that reproduces the
     /// retained image verbatim (one full keep run, same split) skips the
-    /// store rebuild: fused fixpoint iterations re-sync every relation,
-    /// and most relations don't change between cuts.
+    /// store rebuild: every fused round re-syncs every relation of its
+    /// store, and a round that changed nothing needs no new store.
     fn apply_sync(&mut self, store: StoreKind, sync: Vec<RelationSync>) -> Result<(), String> {
         let (schema, tp) = {
             let cfg = self.cfg()?;
@@ -275,7 +251,7 @@ impl ServerState {
         let cfg = self.cfg()?;
         let store = self.stores[StoreKind::Source.idx()]
             .as_ref()
-            .ok_or("RunTgdRound before ApplyDelta")?;
+            .ok_or("tgd round before the source store was synced")?;
         let mut out: Vec<PartitionHoms> = Vec::new();
         for &p in &cfg.owned {
             let view = store.part(p);
@@ -319,7 +295,7 @@ impl ServerState {
         let cfg = self.cfg()?;
         let store = self.stores[StoreKind::Target.idx()]
             .as_ref()
-            .ok_or("RunLocalEgdRound before ApplyDelta")?;
+            .ok_or("egd round before the target store was synced")?;
         let mut out: Vec<PartitionMerges> = Vec::new();
         for &p in &cfg.owned {
             let view = store.part(p);
@@ -352,60 +328,6 @@ impl ServerState {
             }
         }
         Ok(out)
-    }
-
-    /// Server-side Algorithm-1 discovery: the two-atom overlap sweep over
-    /// this server's retained lists, semi-naive-restricted by the shipped
-    /// fresh flags. Any overlapping pair's intersection lands in some
-    /// partition both facts were shipped to (replicas included), so the
-    /// union of every server's local pairs is exactly the global pair set
-    /// — the coordinator dedups multi-visible pairs after translating the
-    /// local gids.
-    fn discover_pairs(
-        &self,
-        store: StoreKind,
-        fresh: &[Vec<bool>],
-    ) -> Result<Vec<ImagePair>, String> {
-        let cfg = self.cfg()?;
-        let (schema, bodies): (_, Vec<&[tdx_logic::Atom]>) = match store {
-            StoreKind::Source => (
-                &cfg.src_schema,
-                cfg.tgd_bodies.iter().map(|b| b.as_slice()).collect(),
-            ),
-            StoreKind::Target => (
-                &cfg.tgt_schema,
-                cfg.egds.iter().map(|(b, _, _)| b.as_slice()).collect(),
-            ),
-        };
-        let specs = sweep_specs(schema, &bodies)
-            .ok_or("discovery requested for bodies the sweep cannot compile")?;
-        let image = &self.image[store.idx()];
-        let splits = &self.splits[store.idx()];
-        if fresh.len() != image.len()
-            || fresh
-                .iter()
-                .zip(image.iter().zip(splits.iter()))
-                .any(|(f, (list, &s))| f.len() != list.len() - s)
-        {
-            return Err("fresh flags do not match the delta blocks".into());
-        }
-        let pre: FactLists = image
-            .iter()
-            .zip(splits.iter())
-            .map(|(list, &s)| list[..s].to_vec())
-            .collect();
-        let delta: FactLists = image
-            .iter()
-            .zip(splits.iter())
-            .map(|(list, &s)| list[s..].to_vec())
-            .collect();
-        Ok(sweep_images(&pre, &delta, Some(fresh), &specs, 1)
-            .into_iter()
-            .map(|(ka, kb)| {
-                let ((ra, ga), (rb, gb)) = (unpack_ref(ka), unpack_ref(kb));
-                (ra.0, ga, rb.0, gb)
-            })
-            .collect())
     }
 
     /// Test/audit access: the retained image of `store`, per relation.
@@ -608,7 +530,9 @@ mod tests {
     #[test]
     fn requests_before_hello_are_rejected() {
         let mut s = ServerState::new();
-        assert!(s.handle(Message::RunTgdRound).is_err());
+        assert!(s
+            .handle(Message::TgdRoundFused { sync: Vec::new() })
+            .is_err());
         // Ping and Shutdown are carrier-level and work unconfigured.
         assert_eq!(s.handle(Message::Ping), Ok(Response::Pong));
         assert_eq!(s.handle(Message::Shutdown), Ok(Response::Stopped));

@@ -35,7 +35,6 @@ use std::io::{self, BufReader};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -669,107 +668,6 @@ fn wait_addr_file(
     }
 }
 
-// ---------------------------------------------------------------------------
-// Fault injection (test support)
-
-/// Fault-injection spawner for the retry-path tests: wraps an inner
-/// spawner and arms the transport of server `victim` to fail — and kill
-/// its carrier — after `frames_before_failure` successful sends. The fault
-/// trips once per injector; respawns of the victim get clean transports,
-/// so a correct retry path converges.
-pub struct FaultInjector {
-    inner: Arc<dyn TransportSpawner>,
-    victim: usize,
-    frames_before_failure: usize,
-    /// Consumed by the first spawn of the victim — later respawns are
-    /// clean.
-    armed: AtomicUsize,
-    /// Set by the faulty transport when the failure actually fires.
-    fired: Arc<AtomicUsize>,
-}
-
-impl FaultInjector {
-    /// Arms one failure on `victim`'s transport after
-    /// `frames_before_failure` sends.
-    pub fn new(
-        inner: Arc<dyn TransportSpawner>,
-        victim: usize,
-        frames_before_failure: usize,
-    ) -> FaultInjector {
-        FaultInjector {
-            inner,
-            victim,
-            frames_before_failure,
-            armed: AtomicUsize::new(1),
-            fired: Arc::new(AtomicUsize::new(0)),
-        }
-    }
-
-    /// Whether the armed fault has actually fired.
-    pub fn tripped(&self) -> bool {
-        self.fired.load(Ordering::SeqCst) != 0
-    }
-}
-
-struct FaultTransport {
-    inner: Box<dyn Transport>,
-    remaining: usize,
-    fired: Arc<AtomicUsize>,
-}
-
-impl Transport for FaultTransport {
-    fn send(&mut self, frame: &[u8]) -> io::Result<()> {
-        if self.remaining == 0 {
-            // Kill the carrier mid-round: the peer dies with us, exactly
-            // like a crashed server process.
-            self.fired.store(1, Ordering::SeqCst);
-            self.inner.shutdown();
-            return Err(gone("killed by fault injection"));
-        }
-        self.remaining -= 1;
-        self.inner.send(frame)
-    }
-
-    fn recv(&mut self) -> io::Result<Vec<u8>> {
-        self.inner.recv()
-    }
-
-    fn set_deadline(&mut self, deadline: Option<Duration>) -> io::Result<()> {
-        self.inner.set_deadline(deadline)
-    }
-
-    fn shutdown(&mut self) {
-        self.inner.shutdown();
-    }
-
-    fn sever(&mut self) {
-        self.inner.sever();
-    }
-}
-
-impl TransportSpawner for FaultInjector {
-    fn spawn(&self, server: usize) -> io::Result<Box<dyn Transport>> {
-        let inner = self.inner.spawn(server)?;
-        if server == self.victim
-            && self
-                .armed
-                .compare_exchange(1, 0, Ordering::SeqCst, Ordering::SeqCst)
-                .is_ok()
-        {
-            return Ok(Box::new(FaultTransport {
-                inner,
-                remaining: self.frames_before_failure,
-                fired: Arc::clone(&self.fired),
-            }));
-        }
-        Ok(inner)
-    }
-
-    fn kind(&self) -> TransportKind {
-        self.inner.kind()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -893,23 +791,5 @@ mod tests {
             "{err}"
         );
         t.shutdown();
-    }
-
-    #[test]
-    fn fault_injector_trips_exactly_once() {
-        let spawner = FaultInjector::new(Arc::new(ChannelSpawner), 0, 1);
-        let mut t = spawner.spawn(0).unwrap();
-        assert!(!spawner.tripped());
-        assert_eq!(ping(&mut t), Response::Pong); // first frame passes
-        assert!(t.send(&encode(&Message::Ping)).is_err()); // second trips
-        assert!(spawner.tripped());
-        // The respawn is clean.
-        let mut t2 = spawner.spawn(0).unwrap();
-        assert_eq!(ping(&mut t2), Response::Pong);
-        assert_eq!(ping(&mut t2), Response::Pong);
-        t2.send(&encode(&Message::Shutdown)).unwrap();
-        let _ = t2.recv();
-        t.shutdown();
-        t2.shutdown();
     }
 }

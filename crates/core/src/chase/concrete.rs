@@ -16,57 +16,63 @@
 //!
 //! Theorem 19 / Corollary 20: a successful result `J_c` satisfies
 //! `⟦J_c⟧ ∼ chase(⟦I_c⟧)`.
+//!
+//! There is one production engine: [`c_chase_with`] opens an
+//! [`IncrementalExchange`] session with the same options and applies the
+//! whole source as its only batch, for [`ChaseEngine::PartitionedParallel`]
+//! (the default) and [`ChaseEngine::Distributed`] alike. The
+//! [`ChaseEngine::LegacyScan`] body below is Definition 16 run plainly and
+//! sequentially — the oracle the equivalence suite checks the engine
+//! against, and the only path that narrates every single step.
 
+use crate::chase::incremental::IncrementalExchange;
 use crate::error::{Result, TdxError};
 use crate::normalize::{naive_normalize, normalize_with};
 use std::sync::Arc;
 use tdx_logic::{Atom, SchemaMapping, Term, Var};
 use tdx_storage::fxhash::FxHashMap;
-use tdx_storage::{
-    Generation, NullGen, NullId, SearchOptions, TemporalInstance, TemporalMode, Value,
-};
+use tdx_storage::{NullGen, NullId, SearchOptions, TemporalInstance, TemporalMode, Value};
 use tdx_temporal::Interval;
 
-/// Which join engine the c-chase runs on.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+/// Which engine the c-chase runs on.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum ChaseEngine {
-    /// Index-probed joins (eager column indexes, interval-endpoint indexes)
-    /// plus **semi-naive** egd rounds: after the first round, egd bodies
-    /// join only against the facts changed by the previous round.
-    #[default]
-    IndexedSemiNaive,
-    /// The pre-`FactStore` behavior: full relation scans, every egd round
-    /// re-enumerates every match. Kept as the equivalence oracle for tests
-    /// and the ablation baseline for benches.
+    /// Definition 16 run plainly: full relation scans, sequential tgd
+    /// steps, every egd round re-enumerating every match. The equivalence
+    /// oracle for tests and the ablation baseline for benches; it narrates
+    /// every step when [`ChaseOptions::record_trace`] is set.
     LegacyScan,
-    /// Timeline-partitioned evaluation over a
-    /// [`ShardedFactStore`](tdx_storage::ShardedFactStore): match work fans
-    /// out per partition (and per hash shard in the tgd phase) onto scoped
-    /// worker threads, egd/renormalization fixpoints run per partition with
-    /// boundary-crossing facts reconciled through replicas, and rounds ship
-    /// their changes through the delta log. Results are hom-equivalent to
-    /// [`ChaseEngine::IndexedSemiNaive`]. See `docs/parallelism.md`.
+    /// The production engine (the default): a one-batch
+    /// [`IncrementalExchange`] session over timeline-partitioned fact
+    /// lists. Algorithm-1 discovery and tgd/egd joins run delta-restricted,
+    /// with per-conjunction work fanned out onto scoped worker threads and
+    /// merged in task order, so results are byte-identical across thread
+    /// counts. See `docs/parallelism.md`.
     PartitionedParallel {
         /// Worker threads; `0` resolves from `TDX_CHASE_THREADS` or the
         /// machine's available parallelism (see
         /// [`worker_threads`](crate::chase::worker_threads)).
         threads: usize,
     },
-    /// Distributed evaluation over partition servers: each server owns a
-    /// contiguous block of timeline partitions and speaks the serialized
-    /// `ApplyDelta` / `RunTgdRound` / `RunLocalEgdRound` / `Snapshot`
-    /// protocol of [`crate::chase::cluster`] over a pluggable transport
-    /// (in-process channels or TCP child processes — see
-    /// [`ChaseOptions::transport`]), while the coordinator keeps the
-    /// global union-find and the normalization fixpoints.
-    /// Hom-equivalent to [`ChaseEngine::PartitionedParallel`] and
-    /// byte-identical across server counts and transports. See
-    /// `docs/distributed.md` and `docs/transport.md`.
+    /// The same session with tgd/egd match enumeration on partition
+    /// servers: each server owns a contiguous block of timeline partitions
+    /// and answers the fused rounds of the v4 protocol of
+    /// [`crate::chase::cluster`] over a pluggable transport (in-process
+    /// channels or TCP child processes — see [`ChaseOptions::transport`]),
+    /// while the session keeps the union-find, the restricted checks and
+    /// normalization. Byte-identical across server counts and transports.
+    /// See `docs/distributed.md` and `docs/transport.md`.
     Distributed {
         /// Partition servers; `0` resolves from `TDX_CHASE_SERVERS`, then
         /// defaults to 2 (see [`server_count`](crate::chase::server_count)).
         servers: usize,
     },
+}
+
+impl Default for ChaseEngine {
+    fn default() -> Self {
+        ChaseEngine::PartitionedParallel { threads: 0 }
+    }
 }
 
 /// Tuning knobs for the c-chase.
@@ -85,10 +91,12 @@ pub struct ChaseOptions {
     /// Coalesce the result before returning it (presentation; `⟦·⟧` is
     /// unchanged).
     pub coalesce_result: bool,
-    /// Record a human-readable step trace in the result.
+    /// Record a human-readable trace in the result: every step on the
+    /// [`ChaseEngine::LegacyScan`] oracle, every phase of the batch on the
+    /// session engines ([`BatchStats::trace`](crate::chase::BatchStats)).
     pub record_trace: bool,
-    /// The join engine (indexed semi-naive by default; the legacy full-scan
-    /// path is kept for equivalence tests and ablation benches).
+    /// The engine (the partitioned session by default; the legacy full-scan
+    /// oracle is kept for equivalence tests and ablation benches).
     pub engine: ChaseEngine,
     /// Transport backend for [`ChaseEngine::Distributed`]: `None` resolves
     /// from `TDX_CHASE_TRANSPORT` (default: in-process channels). Ignored
@@ -130,7 +138,7 @@ impl ChaseOptions {
         }
     }
 
-    /// Default options on the legacy full-scan engine.
+    /// Default options on the legacy full-scan oracle.
     pub fn legacy_scan() -> ChaseOptions {
         ChaseOptions {
             engine: ChaseEngine::LegacyScan,
@@ -196,9 +204,6 @@ pub struct ChaseStats {
     pub target_facts_normalized: usize,
     /// Egd merge rounds executed.
     pub egd_rounds: usize,
-    /// Egd rounds that ran delta-restricted (semi-naive engine only; the
-    /// first round is always a full enumeration).
-    pub egd_delta_rounds: usize,
     /// Individual value identifications performed.
     pub egd_merges: usize,
     /// Facts in the returned target.
@@ -382,46 +387,31 @@ fn align_shared_nulls(target: &TemporalInstance) -> TemporalInstance {
     out
 }
 
-/// Rebuilds `new` so that the facts already present in `old` come first,
-/// seals a generation, then appends the changed facts. The returned
-/// generation's delta is exactly "what the last egd round changed" — new
-/// fragments included — which is what the semi-naive rounds join against.
-fn mark_delta_against(
-    new: &TemporalInstance,
-    old: &TemporalInstance,
-) -> (TemporalInstance, Generation) {
-    let mut out = TemporalInstance::new(new.schema_arc());
-    for (rel, fact) in new.iter_all() {
-        if old.contains(rel, &fact.data, fact.interval) {
-            out.insert(rel, Arc::clone(&fact.data), fact.interval);
-        }
-    }
-    let gen = out.mark_generation();
-    for (rel, fact) in new.iter_all() {
-        if !old.contains(rel, &fact.data, fact.interval) {
-            out.insert(rel, Arc::clone(&fact.data), fact.interval);
-        }
-    }
-    (out, gen)
-}
-
 /// Runs the c-chase of `ic` w.r.t. `mapping` with default options.
 pub fn c_chase(ic: &TemporalInstance, mapping: &SchemaMapping) -> Result<CChaseResult> {
     c_chase_with(ic, mapping, &ChaseOptions::default())
 }
 
-/// Runs the c-chase with explicit options.
+/// Runs the c-chase with explicit options: the [`ChaseEngine::LegacyScan`]
+/// oracle, or else a fresh session with these options absorbing `ic` as
+/// one batch.
 pub fn c_chase_with(
     ic: &TemporalInstance,
     mapping: &SchemaMapping,
     opts: &ChaseOptions,
 ) -> Result<CChaseResult> {
-    if let ChaseEngine::PartitionedParallel { threads } = opts.engine {
-        return crate::chase::partitioned::c_chase_partitioned(ic, mapping, opts, threads);
+    match opts.engine {
+        ChaseEngine::LegacyScan => legacy_scan_chase(ic, mapping, opts),
+        _ => IncrementalExchange::with_options(mapping.clone(), opts.clone())?.chase_one_batch(ic),
     }
-    if let ChaseEngine::Distributed { servers } = opts.engine {
-        return crate::chase::cluster::coordinator::c_chase_distributed(ic, mapping, opts, servers);
-    }
+}
+
+/// Definition 16, sequentially: the [`ChaseEngine::LegacyScan`] oracle.
+fn legacy_scan_chase(
+    ic: &TemporalInstance,
+    mapping: &SchemaMapping,
+    opts: &ChaseOptions,
+) -> Result<CChaseResult> {
     let mut stats = ChaseStats {
         source_facts_in: ic.total_len(),
         ..ChaseStats::default()
@@ -554,38 +544,25 @@ pub fn c_chase_with(
         ),
     );
 
-    // Step 4: egd c-chase steps to fixpoint.
-    //
-    // Semi-naive engine: the first round enumerates every match; each later
-    // round joins only against the delta of the previous round's rewrite
-    // (changed and re-fragmented facts). That is sound because a match whose
-    // image consists solely of unchanged facts was already enumerated — and
-    // its identification applied — in an earlier round, so revisiting it
-    // would find `a == b` and do nothing; a constant/constant conflict among
-    // unchanged facts would likewise have failed the chase already.
-    let semi_naive = opts.engine == ChaseEngine::IndexedSemiNaive;
-    let mut delta_gen: Option<Generation> = None;
+    // Step 4: egd c-chase steps to fixpoint, every round re-enumerating
+    // every match.
     loop {
         let mut uf = AnnotatedUnionFind::new();
         let mut merges = 0usize;
         let mut conflict: Option<(String, UfKey, UfKey, Interval)> = None;
         for egd in mapping.egds() {
-            let mut on_match = |m: &tdx_storage::Match<'_>| {
+            target.find_matches_with(&egd.body, TemporalMode::Shared, &[], None, sopts, |m| {
                 let iv = m.shared_interval().expect("temporal store binds t");
                 let a = m.value(egd.lhs).expect("egd lhs in body");
                 let b = m.value(egd.rhs).expect("egd rhs in body");
                 if a == b {
                     return true;
                 }
-                let ka = match a {
+                let key = |v: Value| match v {
                     Value::Const(c) => UfKey::Const(c),
                     Value::Null(n) => UfKey::Null(n, iv),
                 };
-                let kb = match b {
-                    Value::Const(c) => UfKey::Const(c),
-                    Value::Null(n) => UfKey::Null(n, iv),
-                };
-                match uf.union(ka, kb) {
+                match uf.union(key(a), key(b)) {
                     Ok(()) => {
                         merges += 1;
                         true
@@ -600,30 +577,7 @@ pub fn c_chase_with(
                         false
                     }
                 }
-            };
-            match delta_gen {
-                Some(gen) => {
-                    target.find_matches_delta(
-                        &egd.body,
-                        TemporalMode::Shared,
-                        &[],
-                        None,
-                        sopts,
-                        gen,
-                        &mut on_match,
-                    )?;
-                }
-                None => {
-                    target.find_matches_with(
-                        &egd.body,
-                        TemporalMode::Shared,
-                        &[],
-                        None,
-                        sopts,
-                        &mut on_match,
-                    )?;
-                }
-            }
+            })?;
             if conflict.is_some() {
                 break;
             }
@@ -645,32 +599,21 @@ pub fn c_chase_with(
         }
         stats.egd_rounds += 1;
         stats.egd_merges += merges;
-        if delta_gen.is_some() {
-            stats.egd_delta_rounds += 1;
-        }
         log(
             opts,
             &mut trace,
             format!("egd round {}: {} identifications", stats.egd_rounds, merges),
         );
-        let previous = target;
-        let mut next = previous.map_values(|v, fact_iv| uf.resolve(v, fact_iv));
-        if opts.renormalize_between_egd_rounds {
+        let next = target.map_values(|v, fact_iv| uf.resolve(v, fact_iv));
+        target = if opts.renormalize_between_egd_rounds {
             // Rewriting can merge bases (new sharing) and create new data
             // joins — restore both invariants.
-            next = refragment(&next, opts)?;
+            refragment(&next, opts)?
         } else {
             // Even in paper-faithful mode the annotated-null bookkeeping
             // must stay coherent: keep sibling occurrences aligned.
-            next = align_shared_nulls(&next);
-        }
-        if semi_naive {
-            let (reordered, gen) = mark_delta_against(&next, &previous);
-            target = reordered;
-            delta_gen = Some(gen);
-        } else {
-            target = next;
-        }
+            align_shared_nulls(&next)
+        };
     }
 
     if opts.coalesce_result {

@@ -1,33 +1,33 @@
 //! Incremental cross-shard exchange: delta-batch re-chase over a
 //! materialized target.
 //!
-//! [`IncrementalExchange`] is a stateful session around the partitioned
-//! c-chase: it keeps the chased target materialized between calls, accepts
-//! [`DeltaBatch`]es of source insertions (and interval-refining updates),
-//! and brings the target back to a chase fixpoint by re-running tgd/egd
-//! work only where the batch actually landed, instead of chasing the whole
-//! source from scratch.
+//! [`IncrementalExchange`] is a stateful c-chase session: it keeps the
+//! chased target materialized between calls, accepts [`DeltaBatch`]es of
+//! source insertions (and interval-refining updates), and brings the
+//! target back to a chase fixpoint by re-running tgd/egd work only where
+//! the batch actually landed, instead of chasing the whole source from
+//! scratch.
 //!
 //! # How a batch is absorbed
 //!
 //! 1. **Incremental renormalization.** The batch's facts join the
-//!    normalized source's delta block and run through the same
-//!    [`refragment_lists`] fixpoint the partitioned engine uses between egd
-//!    rounds: Algorithm-1 cut discovery restricted to images touching a
-//!    *fresh* fact, so long-settled source facts are only re-fragmented
-//!    when a new fact actually joins them.
+//!    normalized source's delta block and run through the
+//!    [`refragment_lists`] fixpoint the egd rounds use too: Algorithm-1
+//!    cut discovery restricted to images touching a *fresh* fact, so
+//!    long-settled source facts are only re-fragmented when a new fact
+//!    actually joins them.
 //! 2. **Delta-scoped tgd matching.** A [`TemporalMode::Shared`] match binds
 //!    every body atom to one interval, so new matches can only exist at
 //!    *dirty intervals* — intervals carrying at least one changed fact.
 //!    The session joins per dirty interval (a strictly finer unit than the
 //!    dirty timeline partitions of the sharded store) and requires every
 //!    emitted match to touch the delta block, which is exactly the
-//!    `PartScope::OwnerDelta` pivot decomposition of the partitioned
-//!    engine, evaluated against the working fact lists with no store build
-//!    on the fast path.
+//!    `PartScope::OwnerDelta` pivot decomposition a partition server runs,
+//!    evaluated against the working fact lists with no store build on the
+//!    fast path.
 //! 3. **Restricted checks across batches.** "Has this hom an extension into
 //!    the target?" must consult everything previous batches produced. The
-//!    session keeps the partitioned engine's per-tgd memo sets *persistent*:
+//!    session keeps its per-tgd memo sets *persistent*:
 //!    a memo entry `(determined values, interval)` records that a covering
 //!    head fact was inserted, and neither egd rewriting (values only get
 //!    more specific) nor re-fragmentation (fragments cover their original)
@@ -40,8 +40,8 @@
 //!    union-find and re-fragment via [`refragment_lists`]. A match among
 //!    settled facts needs no revisit: the previous batch left them at an
 //!    egd fixpoint, so re-enumerating it would find both sides already
-//!    equal — the semi-naive argument of the partitioned engine, carried
-//!    across batches.
+//!    equal — the semi-naive argument of the egd rounds, carried across
+//!    batches.
 //! 5. **Breakpoint maintenance.** The timeline partition is re-coarsened
 //!    when the endpoint histogram shifts (endpoint count doubled, or the
 //!    per-partition endpoint distribution became badly imbalanced —
@@ -53,6 +53,13 @@
 //! back (the target is rebuilt from the pre-batch source, which was
 //! consistent) and returns the failure, staying usable.
 //!
+//! The session is the one production chase engine: a one-shot
+//! [`c_chase_with`](crate::chase::concrete::c_chase_with) on the
+//! partitioned or distributed engine opens a fresh session and applies the
+//! whole source as one batch ([`IncrementalExchange::chase_one_batch`]) —
+//! against empty settled lists every fact is fresh, so the delta-scoped
+//! phases above are exactly the full chase.
+//!
 //! The correctness oracle is hom-equivalence to a from-scratch chase of the
 //! accumulated source after every batch (`tests/incremental.rs`); the
 //! argument is spelled out in `docs/incremental.md`.
@@ -61,7 +68,9 @@ use crate::chase::cluster::{
     classify_check, fold_merge_ops, is_transport_error, memo_probe_key, resolve_transport,
     spawner_for, Check, DistributedCluster, Hom, MergeOp, TrafficStats, TransportSpawner,
 };
-use crate::chase::concrete::{instantiate, AnnotatedUnionFind, ChaseEngine, ChaseOptions, UfKey};
+use crate::chase::concrete::{
+    instantiate, AnnotatedUnionFind, CChaseResult, ChaseEngine, ChaseOptions, ChaseStats, UfKey,
+};
 use crate::chase::partitioned::{fact_at, refragment_lists, rewrite_values, FactLists};
 use crate::error::{Result, TdxError};
 use crate::query::cache::{DirtySet, QueryService};
@@ -169,6 +178,10 @@ pub struct BatchStats {
     pub tgd_steps: usize,
     /// New target facts the tgd phase inserted.
     pub target_new_facts: usize,
+    /// Target facts (settled ones included) after the egd-body
+    /// normalization of the tgd phase's output; `0` when the tgd phase
+    /// inserted nothing and the egd phase was skipped.
+    pub target_normalized: usize,
     /// Egd merge rounds run.
     pub egd_rounds: usize,
     /// Value identifications performed.
@@ -187,6 +200,9 @@ pub struct BatchStats {
     pub full_rechase: bool,
     /// Materialized target size after the batch.
     pub target_facts: usize,
+    /// Phase-by-phase narration of the batch (only when
+    /// [`ChaseOptions::record_trace`] is set).
+    pub trace: Vec<String>,
 }
 
 /// Session-level counters. `batches` and `full_rechases` are cumulative
@@ -433,11 +449,10 @@ fn descend(
     }
 }
 
-// The restricted-chase check ([`Check`]) is the shared coordinator kernel
-// of `chase/cluster/coordinator.rs` — the same three tiers the partitioned
-// and distributed batch engines classify with, except that here the memo
-// tier is *persistent* across batches (see the module docs for why
-// coverage survives rewriting and re-fragmentation).
+// The restricted-chase check ([`Check`]) is the coordinator kernel of
+// `chase/cluster/coordinator.rs`: three tiers, with the memo tier
+// *persistent* across batches (see the module docs for why coverage
+// survives rewriting and re-fragmentation).
 
 #[derive(Clone)]
 struct TgdPlan {
@@ -1050,16 +1065,14 @@ impl IncrementalExchange {
     /// One distributed tgd round: a single fused frame per server that
     /// ships the normalized-source sync program and collects the
     /// delta-touching homomorphisms per tgd in the same round trip, in
-    /// ascending partition order. The session keeps normalization
-    /// coordinator-local (its batches are small — latency, not throughput,
-    /// bounds a round), so the frame carries `discover: false`.
+    /// ascending partition order. Normalization stays on the session.
     fn distributed_tgd_round(
         &mut self,
         pre: &FactLists,
         delta: &FactLists,
     ) -> Result<Vec<Vec<Hom>>> {
         let tgd_count = self.plans.len();
-        self.with_cluster(|c| Ok(c.run_tgd_round_fused(pre, delta, None, false, tgd_count)?.0))
+        self.with_cluster(|c| c.run_tgd_round_fused(pre, delta, tgd_count))
     }
 
     /// One distributed egd round: a single fused frame per server shipping
@@ -1069,7 +1082,7 @@ impl IncrementalExchange {
         pre: &FactLists,
         delta: &FactLists,
     ) -> Result<Vec<MergeOp>> {
-        self.with_cluster(|c| Ok(c.run_egd_round_fused(pre, delta, None, false)?.0))
+        self.with_cluster(|c| c.run_egd_round_fused(pre, delta))
     }
 
     fn validate_row(&self, rel: RelId, data: &Row) -> Result<()> {
@@ -1122,6 +1135,17 @@ impl IncrementalExchange {
             stats.recoarsened = true;
         }
         stats.partitions = self.tp.len();
+        self.narrate(&mut stats, |_| match self.servers {
+            0 => format!(
+                "{} timeline partitions, {} threads",
+                self.tp.len(),
+                self.threads
+            ),
+            servers => format!(
+                "{} timeline partitions over {servers} servers",
+                self.tp.len()
+            ),
+        });
 
         // Drop batch facts already present verbatim in the normalized
         // source — re-asserting an existing fragment discovers no cut, so
@@ -1152,6 +1176,7 @@ impl IncrementalExchange {
         // touches them.
         let tgd_bodies = self.mapping.tgd_bodies();
         let pre = std::mem::take(&mut self.nsrc);
+        let fresh_facts: usize = fresh.iter().map(Vec::len).sum();
         let (npre, ndelta) = refragment_lists(
             &self.src_schema,
             &self.tp,
@@ -1163,6 +1188,12 @@ impl IncrementalExchange {
             fresh,
         )?;
         stats.source_delta = ndelta.iter().map(|l| l.len()).sum();
+        self.narrate(&mut stats, |s| {
+            format!(
+                "normalized source w.r.t. Σst: {fresh_facts} → {} facts",
+                s.source_delta
+            )
+        });
         let mut dirty_parts: BTreeSet<usize> = BTreeSet::new();
         for facts in &ndelta {
             for fact in facts {
@@ -1291,6 +1322,12 @@ impl IncrementalExchange {
         // Source fixpoint settles: delta drains into pre.
         self.nsrc = settle(npre, ndelta);
         stats.target_new_facts = new_facts.iter().map(|l| l.len()).sum();
+        self.narrate(&mut stats, |s| {
+            format!(
+                "tgd steps: {} fired of {} matches, {} new target facts",
+                s.tgd_steps, s.tgd_matches, s.target_new_facts
+            )
+        });
 
         // Step 3+4: boundary reconciliation and the egd fixpoint, only if
         // the batch produced target work.
@@ -1317,6 +1354,13 @@ impl IncrementalExchange {
                 pre,
                 new_facts,
             )?;
+            stats.target_normalized = pre.iter().chain(&delta).map(Vec::len).sum();
+            self.narrate(&mut stats, |s| {
+                format!(
+                    "normalized target w.r.t. Σeg: {} → {} facts",
+                    s.target_new_facts, s.target_normalized
+                )
+            });
             loop {
                 let mut uf = AnnotatedUnionFind::new();
                 let mut merges = 0usize;
@@ -1375,6 +1419,9 @@ impl IncrementalExchange {
                 }
                 stats.egd_rounds += 1;
                 stats.egd_merges += merges;
+                self.narrate(&mut stats, |s| {
+                    format!("egd round {}: {merges} identifications", s.egd_rounds)
+                });
                 let (npre, ndelta) = rewrite_values(&self.tgt_schema, &pre, &delta, &mut uf);
                 let renorm = if self.opts.renormalize_between_egd_rounds {
                     Some(egd_bodies.as_slice())
@@ -1406,6 +1453,42 @@ impl IncrementalExchange {
         self.stats.tgd_steps += stats.tgd_steps;
         self.stats.egd_merges += stats.egd_merges;
         Ok(stats)
+    }
+
+    /// Appends one phase line to the batch narration when the session
+    /// options ask for a trace.
+    fn narrate(&self, stats: &mut BatchStats, line: impl FnOnce(&BatchStats) -> String) {
+        if self.opts.record_trace {
+            let line = line(stats);
+            stats.trace.push(line);
+        }
+    }
+
+    /// The one-shot c-chase of `source` as this (fresh) session's only
+    /// batch — the body of [`c_chase_with`](crate::chase::concrete::c_chase_with)
+    /// for every engine but the `LegacyScan` oracle. The result's counters
+    /// come from the batch and the session; its trace is the batch's
+    /// phase narration.
+    pub(crate) fn chase_one_batch(mut self, source: &TemporalInstance) -> Result<CChaseResult> {
+        let batch = self.apply(&DeltaBatch::from_instance(source))?;
+        let target = self.target();
+        let stats = ChaseStats {
+            source_facts_in: source.total_len(),
+            source_facts_normalized: self.nsrc.iter().map(Vec::len).sum(),
+            tgd_steps: batch.tgd_steps,
+            target_facts_after_tgd: batch.target_new_facts,
+            target_facts_normalized: batch.target_normalized,
+            egd_rounds: batch.egd_rounds,
+            egd_merges: batch.egd_merges,
+            target_facts_out: target.total_len(),
+            nulls_created: self.stats().nulls_created,
+        };
+        Ok(CChaseResult {
+            target,
+            normalized_source: lists_to_instance(&self.src_schema, &self.nsrc),
+            stats,
+            trace: batch.trace,
+        })
     }
 
     /// The non-monotone path: rebuild the accumulated source with the
@@ -1471,6 +1554,14 @@ impl IncrementalExchange {
         self.stats.full_rechases += 1;
         self.stats.tgd_steps = 0;
         self.stats.egd_merges = 0;
+        if n == 0 {
+            // Nothing to chase (a failed first batch rolled back): the
+            // reset state is the fixpoint, and no cluster needs spawning.
+            return Ok(BatchStats {
+                partitions: self.tp.len(),
+                ..BatchStats::default()
+            });
+        }
         self.absorb(fresh, n)
     }
 
@@ -1529,6 +1620,26 @@ fn lists_to_instance(schema: &Arc<Schema>, lists: &FactLists) -> TemporalInstanc
         }
     }
     out
+}
+
+/// The distributed one-shot c-chase through an explicit spawner: a
+/// one-batch [`IncrementalExchange`] on `ChaseEngine::Distributed { servers }`
+/// whose every cluster (re)spawn goes through `spawner` — the injection
+/// point of the fault-injection tests and the transport benches.
+pub fn c_chase_distributed_with(
+    ic: &TemporalInstance,
+    mapping: &SchemaMapping,
+    opts: &ChaseOptions,
+    servers: usize,
+    spawner: Arc<dyn TransportSpawner>,
+) -> Result<CChaseResult> {
+    let opts = ChaseOptions {
+        engine: ChaseEngine::Distributed { servers },
+        ..opts.clone()
+    };
+    let mut session = IncrementalExchange::with_options(mapping.clone(), opts)?;
+    session.spawner_override = Some(spawner);
+    session.chase_one_batch(ic)
 }
 
 #[cfg(test)]

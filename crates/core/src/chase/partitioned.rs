@@ -1,66 +1,56 @@
-//! The partitioned parallel c-chase (`ChaseEngine::PartitionedParallel`).
+//! The partitioned fact-list kernel of the c-chase
+//! (`ChaseEngine::PartitionedParallel`).
 //!
 //! The paper's c-chase (Section 4.3) is defined fact-at-a-time, but its
-//! normalization step makes the target fragment along interval breakpoints —
-//! so the concrete timeline decomposes into independent slices the same way
-//! the abstract chase decomposes into epochs. This engine exploits that:
+//! normalization step makes the target fragment along interval breakpoints
+//! — so the concrete timeline decomposes into independent slices the same
+//! way the abstract chase decomposes into epochs. The
+//! [`IncrementalExchange`](crate::chase::incremental::IncrementalExchange)
+//! session, which runs every production chase (a one-shot `c_chase` is a
+//! one-batch session), keeps each phase's facts as per-relation
+//! [`FactLists`] split into a settled `pre` block and a changed `delta`
+//! block, and this module holds the list-level kernels it runs on:
 //!
-//! * the timeline is cut at **coarse breakpoints** drawn from the source's
-//!   endpoint set (`Breakpoints::coarsen`), and every phase's facts live in a
-//!   [`ShardedFactStore`] over that [`TimelinePartition`];
-//! * **tgd rounds** fan match work out per `(partition, hash shard)` onto
-//!   `std::thread::scope` workers — a [`TemporalMode::Shared`] match binds
-//!   every atom to one interval, so matches never cross partitions and the
-//!   per-partition owner blocks cover them exactly once;
-//! * the **egd / renormalization fixpoint** runs per timeline partition and
-//!   reconciles only facts whose intervals cross partition boundaries: such
-//!   facts are replicated into every partition they overlap, which makes
-//!   every overlapping image of Algorithm 1 visible inside a single
-//!   partition; the group-merge is a cheap global union-find over the
-//!   per-partition discoveries ([`merge_image_sets`]);
-//! * rounds ship their changes through the **delta log**: each rebuild lays
-//!   out unchanged facts before changed ones, so the next round's matching
-//!   pivots on contiguous delta suffixes ([`PartScope::OwnerDelta`]) and
-//!   renormalization discovery visits only *dirty* partitions — the ones a
-//!   changed fact overlaps.
+//! * **Algorithm-1 re-fragmentation** ([`refragment_lists`]): overlap
+//!   images are discovered only where they touch a *fresh* fact — a sweep
+//!   join per 2-atom conjunction, the generic matcher over a replicated
+//!   [`ShardedFactStore`] for wider ones — merged into groups
+//!   ([`merge_image_sets`]), and every member cut at its group's interior
+//!   breakpoints, plus the shared-null-base alignment cuts, to a fixpoint;
+//! * **egd rewriting** ([`rewrite_values`]): one round's union-find
+//!   applied to every fact, split back into unchanged and changed blocks
+//!   so the next round joins only against the delta;
+//! * **worker fan-out** ([`run_tasks`]): per-conjunction and
+//!   per-partition tasks on scoped threads, merged in task order, so the
+//!   result is byte-identical across thread counts.
 //!
-//! The result is hom-equivalent to `IndexedSemiNaive` (it may fragment
-//! differently — delta-restricted discovery skips group merges between
-//! long-settled facts, which Algorithm 1 would re-derive with no effect on
-//! `⟦·⟧`); `tests/equivalence.rs` triangulates all three engines. The
-//! equivalence argument is spelled out in `docs/parallelism.md`.
+//! The equivalence argument is spelled out in `docs/parallelism.md`;
+//! `tests/equivalence.rs` checks the engine against the `LegacyScan`
+//! oracle.
 
-use crate::chase::concrete::{AnnotatedUnionFind, CChaseResult, ChaseOptions, ChaseStats};
+use crate::chase::concrete::AnnotatedUnionFind;
 use crate::error::Result;
-use crate::normalize::{
-    merge_image_sets, naive_normalize, normalize_with_groups, uf_find, FactRef,
-};
+use crate::normalize::{merge_image_sets, uf_find, FactRef};
 use std::sync::Arc;
-use tdx_logic::{Atom, RelId, Schema, SchemaMapping, Var};
+use tdx_logic::{Atom, RelId, Schema, Var};
 use tdx_storage::fxhash::{FxHashMap, FxHashSet};
 use tdx_storage::{
-    PartScope, Row, SearchOptions, ShardedFactStore, TemporalFact, TemporalInstance, TemporalMode,
-    Value,
+    PartScope, Row, SearchOptions, ShardedFactStore, TemporalFact, TemporalMode, Value,
 };
 use tdx_temporal::{fragment_interval, Breakpoints, Interval, TimePoint, TimelinePartition};
 
-/// Per-relation fact lists: the working representation between rebuilds.
+/// Per-relation fact lists: the working representation between rounds.
 /// `pre` holds facts unchanged since the last round, `delta` the changed
 /// ones; a fact's global id is its position in `pre ++ delta`. One alias
 /// crate-wide — the cluster protocol ships this exact representation, and
-/// the incremental session's materialized target lives in it between
-/// batches.
+/// the session's materialized target lives in it between batches.
 pub(crate) use crate::chase::cluster::protocol::FactLists;
 
 /// Runs `f(0..n)` on up to `threads` scoped workers (inline when either
 /// count is one) and returns the results in task order — so the merge, and
 /// therefore the chase result, is deterministic regardless of thread count
 /// and scheduling.
-pub(crate) fn run_tasks<R: Send>(
-    threads: usize,
-    n: usize,
-    f: impl Fn(usize) -> R + Sync,
-) -> Vec<R> {
+fn run_tasks<R: Send>(threads: usize, n: usize, f: impl Fn(usize) -> R + Sync) -> Vec<R> {
     // Workers beyond the machine's cores only add spawn and scheduling
     // overhead — asking for 4 threads on a 1-core box must not be slower
     // than asking for 1.
@@ -95,7 +85,7 @@ pub(crate) fn run_tasks<R: Send>(
 
 /// A 2-atom conjunction compiled for the sweep join: per-atom constant and
 /// intra-atom-equality filters, plus the cross-atom join columns.
-pub(crate) struct PairSpec {
+struct PairSpec {
     rels: [RelId; 2],
     consts: [Vec<(usize, Value)>; 2],
     intra: [Vec<(usize, usize)>; 2],
@@ -143,69 +133,18 @@ impl PairSpec {
     }
 }
 
-/// Compiles every multi-atom conjunction of `conjs` for the sweep join, or
-/// `None` if any needs the generic matcher (more than two atoms, or an
-/// unknown relation). Single-atom conjunctions are dropped — their images
-/// are singletons and can never cut. This is the gate for **server-side**
-/// discovery: a server can run the sweep over its local lists only when
-/// every conjunction is sweepable, because the generic fallback needs the
-/// global replicated store.
-pub(crate) fn sweep_specs(schema: &Schema, conjs: &[&[Atom]]) -> Option<Vec<PairSpec>> {
-    let mut specs = Vec::new();
-    for &atoms in conjs {
-        if atoms.len() < 2 {
-            continue;
-        }
-        if atoms.len() != 2 {
-            return None;
-        }
-        specs.push(PairSpec::compile(atoms, schema)?);
-    }
-    Some(specs)
-}
-
 /// Packs a fact reference into the discovery dedup key.
-pub(crate) fn pack_ref((rel, gid): FactRef) -> u64 {
+fn pack_ref((rel, gid): FactRef) -> u64 {
     ((rel.0 as u64) << 32) | gid as u64
 }
 
 /// Inverse of [`pack_ref`].
-pub(crate) fn unpack_ref(k: u64) -> FactRef {
+fn unpack_ref(k: u64) -> FactRef {
     (RelId((k >> 32) as u32), k as u32)
 }
 
-/// Runs the sweep join for every compiled spec (one parallel task each) and
-/// returns the discovered pair images as packed sorted key pairs, deduped
-/// per spec, in spec order. Shared by coordinator-local discovery
-/// ([`discover_images`]) and the servers' fused-round discovery — byte
-/// identity across the two paths rests on both emitting the same *set* of
-/// pairs, which this function pins.
-pub(crate) fn sweep_images(
-    pre: &FactLists,
-    delta: &FactLists,
-    fresh: Option<&[Vec<bool>]>,
-    specs: &[PairSpec],
-    threads: usize,
-) -> Vec<(u64, u64)> {
-    run_tasks(threads, specs.len(), |i| {
-        let mut pairs: FxHashSet<(u64, u64)> = Default::default();
-        let mut out: Vec<(u64, u64)> = Vec::new();
-        sweep_lists(pre, delta, fresh, &specs[i], |a, b| {
-            let (ka, kb) = (pack_ref(a), pack_ref(b));
-            let key = if ka <= kb { (ka, kb) } else { (kb, ka) };
-            if pairs.insert(key) {
-                out.push(key);
-            }
-        });
-        out
-    })
-    .into_iter()
-    .flatten()
-    .collect()
-}
-
 /// Sweep-based overlap join for a 2-atom conjunction over the global fact
-/// lists — the partitioned engine's replacement for backtracking image
+/// lists — the list kernel's replacement for backtracking image
 /// discovery. Candidates are filtered per atom, bucketed by join key,
 /// sorted by interval start, and swept: a pair is emitted iff the two
 /// intervals overlap (for two atoms, pairwise overlap *is* the non-empty
@@ -349,7 +288,7 @@ pub(crate) fn fact_at<'a>(
 /// keeps long-lived facts from being re-enumerated in every partition they
 /// span.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn discover_images(
+fn discover_images(
     schema: &Arc<Schema>,
     tp: &TimelinePartition,
     pre: &FactLists,
@@ -379,7 +318,23 @@ pub(crate) fn discover_images(
             None => generic.push(atoms),
         }
     }
-    let swept = sweep_images(pre, delta, fresh, &specs, threads);
+    // One sweep task per spec, pairs deduplicated per spec as packed
+    // sorted key pairs.
+    let swept: Vec<(u64, u64)> = run_tasks(threads, specs.len(), |i| {
+        let mut pairs: FxHashSet<(u64, u64)> = Default::default();
+        let mut out: Vec<(u64, u64)> = Vec::new();
+        sweep_lists(pre, delta, fresh, &specs[i], |a, b| {
+            let (ka, kb) = (pack(a), pack(b));
+            let key = if ka <= kb { (ka, kb) } else { (kb, ka) };
+            if pairs.insert(key) {
+                out.push(key);
+            }
+        });
+        out
+    })
+    .into_iter()
+    .flatten()
+    .collect();
     let mut from_matcher: Vec<Result<Vec<Vec<u64>>>> = Vec::new();
     if !generic.is_empty() {
         let sharded = build_sharded(schema, tp, pre, delta, true);
@@ -453,41 +408,7 @@ pub(crate) fn discover_images(
     Ok(out)
 }
 
-/// Partitioned Algorithm 1 over a whole instance: sweep/matcher image
-/// discovery, global group merge, fragmentation via the shared
-/// [`normalize_with_groups`]. Produces the groups of the sequential
-/// [`candidate_groups`](crate::normalize::candidate_groups) minus the
-/// no-op singletons — global fact ids equal the instance's fact ids.
-fn par_normalize(
-    ic: &TemporalInstance,
-    conjs: &[&[Atom]],
-    tp: &TimelinePartition,
-    threads: usize,
-    sopts: SearchOptions,
-) -> Result<TemporalInstance> {
-    if conjs.is_empty() {
-        return Ok(ic.clone());
-    }
-    let nrels = ic.schema().len();
-    let pre: FactLists = (0..nrels)
-        .map(|r| ic.facts(RelId(r as u32)).to_vec())
-        .collect();
-    let delta: FactLists = vec![Vec::new(); nrels];
-    let images = discover_images(
-        &ic.schema_arc(),
-        tp,
-        &pre,
-        &delta,
-        None,
-        conjs,
-        threads,
-        sopts,
-    )?;
-    let groups = merge_image_sets(&images);
-    normalize_with_groups(ic, &groups)
-}
-
-pub(crate) fn build_sharded(
+fn build_sharded(
     schema: &Arc<Schema>,
     tp: &TimelinePartition,
     pre: &FactLists,
@@ -503,11 +424,11 @@ pub(crate) fn build_sharded(
 }
 
 /// Adds the shared-null-base alignment cuts (see `align_shared_nulls` in the
-/// sequential engine): sibling occurrences of one annotated null must stay
+/// `LegacyScan` oracle): sibling occurrences of one annotated null must stay
 /// fragmented at common endpoints so the `(base, interval)`-keyed egd
 /// rewrite touches all of them alike. Computed globally over the fact
 /// lists — a linear pass plus a union-find, no matching, no store.
-pub(crate) fn base_align_cuts(
+fn base_align_cuts(
     pre: &FactLists,
     delta: &FactLists,
     cuts: &mut FxHashMap<(RelId, u32), Vec<TimePoint>>,
@@ -563,11 +484,11 @@ pub(crate) fn base_align_cuts(
 }
 
 /// The per-fact cut points one fixpoint iteration wants applied.
-pub(crate) type CutMap = FxHashMap<(RelId, u32), Vec<TimePoint>>;
+type CutMap = FxHashMap<(RelId, u32), Vec<TimePoint>>;
 
 /// Naive normalization's cut rule: every fact is cut at every interior
 /// endpoint of the global breakpoint set.
-pub(crate) fn naive_cuts(pre: &FactLists, delta: &FactLists, cuts: &mut CutMap) {
+fn naive_cuts(pre: &FactLists, delta: &FactLists, cuts: &mut CutMap) {
     let bps = Breakpoints::from_intervals(
         pre.iter()
             .chain(delta.iter())
@@ -586,15 +507,8 @@ pub(crate) fn naive_cuts(pre: &FactLists, delta: &FactLists, cuts: &mut CutMap) 
 /// Algorithm 1's cut rule over discovered overlap images: merge the images
 /// into groups ([`merge_image_sets`]), then cut every member at the group's
 /// interior breakpoints. Order-insensitive in the image list — the group
-/// partition depends only on the image *set* and `Breakpoints` sorts — so
-/// coordinator-local and server-side discovery produce identical cuts from
-/// identical sets.
-pub(crate) fn image_cuts(
-    images: &[Vec<FactRef>],
-    pre: &FactLists,
-    delta: &FactLists,
-    cuts: &mut CutMap,
-) {
+/// partition depends only on the image *set* and `Breakpoints` sorts.
+fn image_cuts(images: &[Vec<FactRef>], pre: &FactLists, delta: &FactLists, cuts: &mut CutMap) {
     for group in merge_image_sets(images) {
         let ivs: Vec<Interval> = group
             .iter()
@@ -614,7 +528,7 @@ pub(crate) fn image_cuts(
 /// fragments join the delta block (they are "changed" for the next round's
 /// matching) and become the next iteration's fresh set. Returns the new
 /// `(pre, delta, fresh)`.
-pub(crate) fn apply_cuts(
+fn apply_cuts(
     nrels: usize,
     cuts: &CutMap,
     mut pre: FactLists,
@@ -686,33 +600,13 @@ pub(crate) fn apply_cuts(
     (npre, ndelta, nfresh)
 }
 
-/// Re-fragments the working fact lists to a fixpoint and then builds the
-/// round's sharded match store once. Per iteration it collects cuts from
-/// (a) egd-body candidate groups (sweep/matcher discovery, restricted to
-/// images touching a fresh fact), or every fact at every endpoint (when
-/// `naive`), plus (b) shared-base alignment; applies them; and stops once
-/// no cut remains. Fragments join the delta block (they are "changed" for
-/// the next round's matching) and are the next iteration's fresh set.
-#[allow(clippy::too_many_arguments)]
-fn refragment(
-    schema: &Arc<Schema>,
-    tp: &TimelinePartition,
-    threads: usize,
-    sopts: SearchOptions,
-    renorm_bodies: Option<&[&[Atom]]>,
-    naive: bool,
-    pre: FactLists,
-    delta: FactLists,
-) -> Result<(ShardedFactStore, FactLists, FactLists)> {
-    let (pre, delta) =
-        refragment_lists(schema, tp, threads, sopts, renorm_bodies, naive, pre, delta)?;
-    Ok((build_sharded(schema, tp, &pre, &delta, false), pre, delta))
-}
-
-/// The list-level fixpoint behind [`refragment`]: same cut discovery and
-/// application, but without the final store build — the incremental session
-/// matches with its own delta-scoped joins over the lists and never needs
-/// the sharded store on its fast path.
+/// Re-fragments the working fact lists to a fixpoint. Per iteration it
+/// collects cuts from (a) candidate groups of `renorm_bodies` (sweep/matcher
+/// discovery, restricted to images touching a fresh fact), or every fact at
+/// every endpoint (when `naive`), plus (b) shared-base alignment; applies
+/// them; and stops once no cut remains. Fragments join the delta block
+/// (they are "changed" for the next round's matching) and are the next
+/// iteration's fresh set. `None` bodies run the alignment cuts only.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn refragment_lists(
     schema: &Arc<Schema>,
@@ -798,275 +692,15 @@ pub(crate) fn rewrite_values(
     (npre, ndelta)
 }
 
-/// The partitioned parallel c-chase. Same contract as
-/// [`c_chase_with`](crate::chase::concrete::c_chase_with); dispatched from
-/// there for [`ChaseEngine::PartitionedParallel`](crate::chase::concrete::ChaseEngine).
-pub(crate) fn c_chase_partitioned(
-    ic: &TemporalInstance,
-    mapping: &SchemaMapping,
-    opts: &ChaseOptions,
-    threads: usize,
-) -> Result<CChaseResult> {
-    let threads = crate::chase::worker_threads(threads);
-    let sopts = opts.search_options();
-    let mut stats = ChaseStats {
-        source_facts_in: ic.total_len(),
-        ..ChaseStats::default()
-    };
-    let mut trace: Vec<String> = Vec::new();
-    let log = |opts: &ChaseOptions, trace: &mut Vec<String>, msg: String| {
-        if opts.record_trace {
-            trace.push(msg);
-        }
-    };
-
-    // Partition the timeline at coarse breakpoints of the source. The chase
-    // never invents endpoints (tgd heads reuse h(t); fragmentation cuts at
-    // existing endpoints), so one partition serves every phase. The count is
-    // a locality knob, not a worker knob: more partitions shrink the index
-    // buckets every probe scans, which pays even on one thread, so it is
-    // deliberately independent of `threads` (which also keeps results
-    // byte-identical across thread counts).
-    let parts_hint = 16;
-    let tp = TimelinePartition::new(&ic.endpoints().coarsen(parts_hint));
-    log(
-        opts,
-        &mut trace,
-        format!(
-            "partitioned chase: {} timeline partitions, {threads} threads",
-            tp.len()
-        ),
-    );
-
-    // Step 1: normalize the source w.r.t. the s-t tgd bodies (partitioned
-    // Algorithm 1 — identical groups, discovered per partition).
-    let tgd_bodies = mapping.tgd_bodies();
-    let nsource = if opts.naive_normalization {
-        naive_normalize(ic)
-    } else {
-        par_normalize(ic, &tgd_bodies, &tp, threads, sopts)?
-    };
-    stats.source_facts_normalized = nsource.total_len();
-    log(
-        opts,
-        &mut trace,
-        format!(
-            "normalized source w.r.t. Σst: {} → {} facts",
-            stats.source_facts_in, stats.source_facts_normalized
-        ),
-    );
-
-    // Step 2: s-t tgd steps. Match enumeration fans out per (tgd,
-    // partition, hash shard); the restricted-chase check and inserts merge
-    // sequentially in task order, so the output is deterministic across
-    // thread counts. The hash fan-out is a fixed constant — not the thread
-    // count — precisely so the task decomposition (and with it the merge
-    // order and the result) never depends on how many workers ran it.
-    let hash_shards = 8;
-    let ssrc = ShardedFactStore::build_from(&nsource, tp.clone(), hash_shards, false);
-    let tgds = mapping.st_tgds();
-    let nparts = ssrc.part_count();
-    let ntasks = tgds.len() * nparts * hash_shards;
-    type Hom = (Vec<(Var, Value)>, Interval);
-    let homs = run_tasks(threads, ntasks, |t| -> Result<Vec<Hom>> {
-        let tgd = &tgds[t / (nparts * hash_shards)];
-        let rem = t % (nparts * hash_shards);
-        let (p, bucket) = (rem / hash_shards, rem % hash_shards);
-        let rel0 = ssrc
-            .schema()
-            .rel_id(tgd.body[0].relation)
-            .expect("validated body atom");
-        let range = ssrc.hash_range(p, rel0, bucket);
-        if range.0 == range.1 {
-            return Ok(Vec::new());
-        }
-        let mut out = Vec::new();
-        ssrc.part(p).find_matches(
-            &tgd.body,
-            TemporalMode::Shared,
-            &[],
-            None,
-            sopts,
-            PartScope::OwnerPivot { atom: 0, range },
-            &mut |m| {
-                out.push((
-                    m.bindings(),
-                    m.shared_interval().expect("temporal store binds t"),
-                ));
-                true
-            },
-        )?;
-        Ok(out)
-    });
-    let mut target = TemporalInstance::new(Arc::new(mapping.target().clone()));
-    // The restricted-chase check and insert discipline is the shared
-    // coordinator kernel (`chase/cluster/coordinator.rs`): the same
-    // `TgdFolder` the distributed engine folds its server responses
-    // through, fed here from the local task fan-out in task order.
-    let mut folder = crate::chase::cluster::TgdFolder::new(mapping)?;
-    for (t, task_homs) in homs.into_iter().enumerate() {
-        let ti = t / (nparts * hash_shards);
-        stats.tgd_steps += folder.fold(ti, task_homs?, &mut target, sopts)?;
-    }
-    stats.nulls_created = folder.nulls.peek();
-    stats.target_facts_after_tgd = target.total_len();
-    log(
-        opts,
-        &mut trace,
-        format!(
-            "tgd phase: {} steps fired over {ntasks} tasks",
-            stats.tgd_steps
-        ),
-    );
-
-    // Steps 3–4: normalize the target w.r.t. the egd bodies, then run egd
-    // rounds to a fixpoint — per partition, reconciling boundary-crossing
-    // facts through replicas, shipping each round's changes via the delta
-    // log.
-    let egd_bodies = mapping.egd_bodies();
-    let schema = target.schema_arc();
-    let nrels = schema.len();
-    if egd_bodies.is_empty() && target.nulls().is_empty() {
-        stats.target_facts_normalized = target.total_len();
-        if opts.coalesce_result {
-            target = target.coalesced();
-        }
-        stats.target_facts_out = target.total_len();
-        return Ok(CChaseResult {
-            target,
-            normalized_source: nsource,
-            stats,
-            trace,
-        });
-    }
-    let pre: FactLists = vec![Vec::new(); nrels];
-    let delta: FactLists = (0..nrels)
-        .map(|r| target.facts(RelId(r as u32)).to_vec())
-        .collect();
-    // The initial normalization always runs w.r.t. the egd bodies (the
-    // paper's step 3); the per-round choice below honors
-    // `renormalize_between_egd_rounds`.
-    let (mut sharded, mut pre, mut delta) = refragment(
-        &schema,
-        &tp,
-        threads,
-        sopts,
-        Some(&egd_bodies),
-        opts.naive_normalization,
-        pre,
-        delta,
-    )?;
-    stats.target_facts_normalized = sharded.total_len();
-    log(
-        opts,
-        &mut trace,
-        format!(
-            "normalized target w.r.t. Σeg: {} → {} facts",
-            stats.target_facts_after_tgd, stats.target_facts_normalized
-        ),
-    );
-
-    let mut first_round = true;
-    loop {
-        // Per-partition egd match enumeration, delta-pivoted. Owner blocks
-        // cover shared-t matches exactly once; partitions without delta
-        // facts cannot host a new match. Generation 0 is the round's
-        // pre/delta split, so the watermark query is exactly "who gained
-        // facts this round".
-        let dirty: Vec<usize> = sharded.dirty_partitions(tdx_storage::Generation(0));
-        let egds = mapping.egds();
-        type Op = (usize, Value, Value, Interval);
-        let per_task = run_tasks(threads, dirty.len(), |t| -> Result<Vec<Op>> {
-            let view = sharded.part(dirty[t]);
-            let mut ops = Vec::new();
-            for (ei, egd) in egds.iter().enumerate() {
-                view.find_matches(
-                    &egd.body,
-                    TemporalMode::Shared,
-                    &[],
-                    None,
-                    sopts,
-                    PartScope::OwnerDelta,
-                    &mut |m| {
-                        let iv = m.shared_interval().expect("temporal store binds t");
-                        let a = m.value(egd.lhs).expect("egd lhs in body");
-                        let b = m.value(egd.rhs).expect("egd rhs in body");
-                        if a != b {
-                            ops.push((ei, a, b, iv));
-                        }
-                        true
-                    },
-                )?;
-            }
-            Ok(ops)
-        });
-        let mut uf = AnnotatedUnionFind::new();
-        let mut merges = 0usize;
-        for task in per_task {
-            // The union-find fold (and its failure rendering) is the shared
-            // coordinator kernel, identical across engines.
-            merges += crate::chase::cluster::fold_merge_ops(task?, &mut uf, |ei| {
-                let egd = &egds[ei];
-                egd.name.clone().unwrap_or_else(|| egd.to_string())
-            })?;
-        }
-        if merges == 0 {
-            break;
-        }
-        stats.egd_rounds += 1;
-        stats.egd_merges += merges;
-        if !first_round {
-            stats.egd_delta_rounds += 1;
-        }
-        first_round = false;
-        log(
-            opts,
-            &mut trace,
-            format!(
-                "egd round {}: {merges} identifications over {} dirty partitions",
-                stats.egd_rounds,
-                dirty.len()
-            ),
-        );
-        let (npre, ndelta) = rewrite_values(&schema, &pre, &delta, &mut uf);
-        let renorm = if opts.renormalize_between_egd_rounds {
-            Some(egd_bodies.as_slice())
-        } else {
-            None // paper-faithful: keep annotated-null siblings aligned only
-        };
-        (sharded, pre, delta) = refragment(
-            &schema,
-            &tp,
-            threads,
-            sopts,
-            renorm,
-            opts.naive_normalization,
-            npre,
-            ndelta,
-        )?;
-    }
-
-    let mut target = sharded.to_instance();
-    if opts.coalesce_result {
-        target = target.coalesced();
-    }
-    stats.target_facts_out = target.total_len();
-    Ok(CChaseResult {
-        target,
-        normalized_source: nsource,
-        stats,
-        trace,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chase::concrete::c_chase_with;
+    use crate::chase::concrete::{c_chase_with, ChaseOptions};
     use crate::error::TdxError;
     use crate::hom::hom_equivalent;
     use crate::semantics::semantics;
-    use tdx_logic::{parse_egd, parse_schema, parse_tgd};
+    use tdx_logic::{parse_egd, parse_schema, parse_tgd, SchemaMapping};
+    use tdx_storage::TemporalInstance;
 
     fn iv(s: u64, e: u64) -> Interval {
         Interval::new(s, e)
@@ -1103,7 +737,7 @@ mod tests {
     fn paper_example_matches_sequential_engine() {
         let mapping = paper_mapping();
         let source = figure4(&mapping);
-        let seq = c_chase_with(&source, &mapping, &ChaseOptions::default()).unwrap();
+        let seq = c_chase_with(&source, &mapping, &ChaseOptions::legacy_scan()).unwrap();
         for threads in [1usize, 2, 4] {
             let par = c_chase_with(
                 &source,

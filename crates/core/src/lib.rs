@@ -24,43 +24,40 @@
 //! eager per-column value indexes, an eager exact-interval index, an
 //! interval-endpoint index (`tdx_temporal::IntervalIndex`, overlap probes
 //! and incremental endpoint enumeration), and a **generation log** exposing
-//! "facts added since round *k*". On top of it the default
-//! [`ChaseEngine::IndexedSemiNaive`] runs tgd/egd steps as index-probed
-//! joins and makes egd fixpoint rounds **semi-naive**: after the first
-//! round, egd bodies join only against the previous round's delta. The
-//! pre-FactStore full-scan behavior survives as
-//! [`ChaseEngine::LegacyScan`].
+//! "facts added since round *k*".
 //!
-//! [`ChaseEngine::PartitionedParallel`] evaluates the chase over a
-//! timeline-partitioned `tdx_storage::ShardedFactStore`: tgd/egd match
-//! work fans out per partition (and hash shard) onto scoped worker
-//! threads, normalization discovery runs as sweep-based overlap joins
-//! restricted to changed facts, and rounds ship their deltas through the
-//! generation log — ≳2.5× over the flat engine on the workload suite even
-//! single-threaded (see `docs/parallelism.md`). `tests/equivalence.rs`
-//! triangulates all three engines, and `crates/bench` ablates them (see
+//! There is **one chase engine**: [`IncrementalExchange`], a stateful
+//! session that keeps the chased target materialized between calls and
+//! re-runs, for each [`DeltaBatch`] of source changes, only the tgd/egd
+//! work at dirty intervals plus the boundary-reconciliation set (see
+//! `docs/incremental.md`). A one-shot [`c_chase_with`] is a **one-batch
+//! session**: it opens a session with the same options and applies the
+//! whole source as its only batch — against empty settled state every fact
+//! is fresh, so the delta-scoped phases are exactly the full chase. The
+//! engine choice only says where match enumeration runs:
+//!
+//! * [`ChaseEngine::PartitionedParallel`] (the default) keeps it local:
+//!   facts live as timeline-partitioned settled + delta lists, Algorithm-1
+//!   discovery runs as sweep-based overlap joins restricted to changed
+//!   facts, and per-conjunction work fans out onto scoped worker threads,
+//!   merged in task order — byte-identical across thread counts (see
+//!   `docs/parallelism.md`).
+//! * [`ChaseEngine::Distributed`] relocates match enumeration onto
+//!   **partition servers**: each owns a contiguous block of timeline
+//!   partitions and answers the fused rounds of the v4 protocol
+//!   (`tdx_storage::codec` byte frames) over a pluggable [`Transport`] —
+//!   in-process channel actors or real `tdx serve-partition` child
+//!   processes on loopback TCP — while the session keeps the union-find,
+//!   the restricted checks and normalization. Rounds ship delta-only sync
+//!   programs against per-server retained-image watermarks, and a
+//!   heartbeat + bounded-retry path respawns dead servers and replays
+//!   their images (see `docs/distributed.md` and `docs/transport.md`).
+//!
+//! [`ChaseEngine::LegacyScan`] is Definition 16 run plainly and
+//! sequentially — full relation scans, per-step narration — and serves as
+//! the single oracle: `tests/equivalence.rs` checks every engine
+//! configuration against it, and `crates/bench` ablates it (see
 //! `BENCH_chase.json`; CI gates regressions via `bench_check`).
-//!
-//! [`ChaseEngine::Distributed`] relocates that match work onto
-//! **partition servers**: each owns a contiguous block of timeline
-//! partitions and speaks a serialized
-//! `Hello`/`ApplyDelta`/`RunTgdRound`/`RunLocalEgdRound`/`Snapshot`/`Ping`
-//! protocol (`tdx_storage::codec` byte frames) over a pluggable
-//! [`Transport`] — in-process channel actors or real `tdx
-//! serve-partition` child processes on loopback TCP — while the
-//! coordinator keeps the global union-find and normalization.
-//! `ApplyDelta` ships delta-only sync programs against per-server
-//! retained-image watermarks, and a heartbeat + bounded-retry path
-//! respawns dead servers and replays their images (see
-//! `docs/distributed.md` and `docs/transport.md`).
-//!
-//! On top of the batch engines, [`IncrementalExchange`] is a *stateful*
-//! exchange session: the chased target stays materialized between calls
-//! and each [`DeltaBatch`] of source changes re-runs only the tgd/egd
-//! work at dirty intervals plus the boundary-reconciliation set — ~8×
-//! over a from-scratch partitioned re-chase for small batches (see
-//! `docs/incremental.md` and `c_chase/incremental/*` in
-//! `BENCH_chase.json`).
 //!
 //! | Layer | Role |
 //! |-------|------|
@@ -68,10 +65,11 @@
 //! | `tdx_temporal::partition` | breakpoints, coarse timeline partitions |
 //! | `tdx_storage::fact_store` | indexed fact storage + generation/delta log |
 //! | `tdx_storage::sharded` | timeline-partitioned shards, owner/delta/replica scopes |
-//! | `tdx_storage::matcher` | join engine: index candidates, per-atom delta bounds |
-//! | [`chase::concrete`] | semi-naive c-chase over the store's deltas |
-//! | [`chase::partitioned`](chase) | partitioned parallel c-chase (sweep discovery, worker fan-out) |
-//! | [`chase::cluster`](chase) | partition-server protocol, transports, coordinator kernel |
+//! | `tdx_storage::matcher` | join engine: index candidates, per-atom id windows |
+//! | [`chase::concrete`] | c-chase entry points and the `LegacyScan` oracle |
+//! | [`chase::incremental`] | the session engine: delta-scoped tgd/egd phases |
+//! | `chase::partitioned` | fact-list kernels (sweep discovery, rewriting, worker fan-out) |
+//! | [`chase::cluster`] | partition-server protocol, transports, coordinator kernel |
 //! | [`normalize`], [`query`] | overlap-index group discovery, engine-threaded eval |
 //!
 //! ## Quick start

@@ -133,9 +133,8 @@ impl TemporalInstance {
     }
 
     /// Seals the current contents as a generation (see
-    /// [`FactStore::mark`]). Facts inserted afterwards form the delta that
-    /// [`TemporalInstance::find_matches_delta`](crate::matcher) joins
-    /// against.
+    /// [`FactStore::mark`]). Facts inserted afterwards form the delta
+    /// [`facts_since`](Self::facts_since) returns.
     pub fn mark_generation(&mut self) -> Generation {
         self.store.mark()
     }

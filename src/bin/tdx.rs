@@ -7,6 +7,8 @@
 //!               [--state-dir DIR] [--repeat N] [--naive] [--explain]
 //! tdx snapshots --mapping paper.map --data figure4.facts --from 2012 --to 2018
 //! tdx check     --mapping paper.map --data figure4.facts --solution candidate.facts
+//! tdx incremental --mapping paper.map --data base.facts --batch b1.facts [--verify]
+//! tdx serve-partition --connect HOST:PORT | --listen HOST:PORT
 //! ```
 //!
 //! Mapping files use the `source { … } target { … } tgd … egd …` syntax; data
@@ -70,13 +72,15 @@ impl Args {
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: tdx <exchange|normalize|query|snapshots> --mapping FILE --data FILE [options]\n\
+        "usage: tdx <exchange|normalize|query|snapshots|check|incremental|serve-partition> \
+         --mapping FILE --data FILE [options]\n\
          \n\
          exchange   materialize a concrete solution (c-chase)\n\
-         \x20          --coalesce  coalesce the result   --trace  print chase steps\n\
+         \x20          --coalesce  coalesce the result   --trace  narrate the chase\n\
          \x20          --core      reduce to the pointwise core\n\
          \x20          --paper-faithful  single target normalization (§4.3 exactly)\n\
-         \x20          --engine indexed|scan|partitioned[:THREADS]|distributed[:SERVERS]\n\
+         \x20          --engine partitioned[:THREADS]|distributed[:SERVERS]|scan\n\
+         \x20                       (default partitioned; scan is the Definition 16 oracle)\n\
          \x20          --servers N  partition servers for --engine distributed\n\
          \x20                       (0 or absent: TDX_CHASE_SERVERS, then 2)\n\
          \x20          --transport channel|tcp  partition-server transport\n\
@@ -96,7 +100,9 @@ fn usage() -> ExitCode {
          \x20          --data BASE --batch FILE [--batch FILE ...]\n\
          \x20          --verify  cross-check each batch against a from-scratch chase\n\
          \x20          --state-dir DIR  durable session: WAL + snapshots in DIR;\n\
-         \x20                           rerunning recovers and skips committed batches"
+         \x20                           rerunning recovers and skips committed batches\n\
+         serve-partition  host one partition server of a distributed chase\n\
+         \x20          --connect HOST:PORT | --listen HOST:PORT [--addr-file PATH] [--idle-exit SECS]"
     );
     ExitCode::from(2)
 }
@@ -280,7 +286,6 @@ fn run() -> Result<ExitCode, Box<dyn std::error::Error>> {
     if let Some(engine) = args.get("engine") {
         options.engine = match engine.split_once(':') {
             None => match engine {
-                "indexed" => tdx::core::ChaseEngine::IndexedSemiNaive,
                 "scan" => tdx::core::ChaseEngine::LegacyScan,
                 // Bare "partitioned": threads from TDX_CHASE_THREADS or
                 // the machine (see tdx_core::worker_threads).

@@ -232,6 +232,37 @@ fn missing_args_exit_with_usage() {
 }
 
 #[test]
+fn retired_indexed_engine_is_rejected() {
+    // The semi-naive engine is gone: naming it is an error, not a silent
+    // fallback to the default engine.
+    let mut args = paper_args("exchange");
+    args.extend(["--engine".into(), "indexed".into()]);
+    let out = tdx().args(&args).output().unwrap();
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(stderr.contains("unknown engine indexed"), "{stderr}");
+}
+
+#[test]
+fn usage_lists_every_subcommand() {
+    let out = tdx().output().unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    let first = stderr.lines().next().unwrap_or_default();
+    for cmd in [
+        "exchange",
+        "normalize",
+        "query",
+        "snapshots",
+        "check",
+        "incremental",
+        "serve-partition",
+    ] {
+        assert!(first.contains(cmd), "usage line omits {cmd}: {first}");
+    }
+}
+
+#[test]
 fn bad_data_reports_error() {
     let dir = std::env::temp_dir().join("tdx-cli-test");
     std::fs::create_dir_all(&dir).unwrap();

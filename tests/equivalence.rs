@@ -1,8 +1,9 @@
-//! Engine equivalence: the indexed semi-naive c-chase, the legacy full-scan
-//! chase and the partitioned parallel chase (at 1, 2 and 4 workers) must
-//! produce the same solutions on the whole scenario suite — same facts,
-//! nulls up to renaming, same certain answers — and must fail on exactly
-//! the same inputs.
+//! Engine equivalence: the production c-chase — a one-batch incremental
+//! session, run partitioned (at 1, 2 and 4 workers) and distributed (over
+//! channels and TCP) — must produce the same solutions as the `LegacyScan`
+//! oracle (Definition 16 run plainly) on the whole scenario suite — same
+//! facts, nulls up to renaming, same certain answers — and must fail on
+//! exactly the same inputs.
 
 use tdx::core::TransportKind;
 use tdx::core::{certain_answers_concrete, hom_equivalent, is_solution_concrete, semantics};
@@ -14,19 +15,16 @@ use tdx::{
     c_chase_with, parse_query, ChaseOptions, SchemaMapping, TdxError, TemporalInstance, UnionQuery,
 };
 
-fn indexed() -> ChaseOptions {
-    ChaseOptions::default()
-}
-
 fn scan() -> ChaseOptions {
     ChaseOptions::legacy_scan()
 }
 
-/// Every engine configuration under triangulation. The partitioned engine
-/// runs at three worker counts — its task decomposition is thread-count
-/// independent, but the scopes and merges must stay correct under real
-/// concurrency too — plus once with `threads = 0`, which resolves through
-/// the `TDX_CHASE_THREADS` environment variable: that is the configuration
+/// Every engine configuration under triangulation, the `scan` oracle
+/// first. The partitioned engine runs at three worker counts — its task
+/// decomposition is thread-count independent, but the scopes and merges
+/// must stay correct under real concurrency too — plus once with
+/// `threads = 0` (the default options), which resolves through the
+/// `TDX_CHASE_THREADS` environment variable: that is the configuration
 /// CI's thread matrix actually varies. The distributed partition-server
 /// engine joins the same way: explicit 1- and 3-server clusters plus
 /// `servers = 0`, which resolves through `TDX_CHASE_SERVERS` — the knob
@@ -36,7 +34,6 @@ fn scan() -> ChaseOptions {
 /// triangulation even when the environment selects channels.
 fn all_engines() -> Vec<(&'static str, ChaseOptions)> {
     vec![
-        ("indexed", indexed()),
         ("scan", scan()),
         ("partitioned/1", ChaseOptions::partitioned_parallel(1)),
         ("partitioned/2", ChaseOptions::partitioned_parallel(2)),
@@ -53,40 +50,30 @@ fn all_engines() -> Vec<(&'static str, ChaseOptions)> {
 }
 
 /// Runs every engine and checks that all solutions represent the same
-/// abstract instance up to null renaming and all verify as solutions — or
-/// that every engine fails. The indexed and scan engines must additionally
-/// leave exactly the same number of unknowns (they enumerate the same homs
-/// tgd by tgd); the partitioned engine merges its fan-out tasks in a
-/// different order, and the *restricted* chase may then pre-empt a
-/// different subset of redundant steps — the universal solution is the same
-/// up to homomorphic equivalence, with possibly fewer leftover nulls.
+/// abstract instance as the scan oracle's up to null renaming and all
+/// verify as solutions — or that every engine fails. The session
+/// enumerates matches in a different order than the oracle, and the
+/// *restricted* chase may then pre-empt a different subset of redundant
+/// steps — the universal solution is the same up to homomorphic
+/// equivalence, with possibly fewer leftover nulls.
 fn assert_engines_agree(label: &str, mapping: &SchemaMapping, source: &TemporalInstance) {
-    let reference = c_chase_with(source, mapping, &indexed());
+    let reference = c_chase_with(source, mapping, &scan());
     for (name, opts) in all_engines().iter().skip(1) {
         let result = c_chase_with(source, mapping, opts);
         match (&reference, &result) {
             (Ok(a), Ok(b)) => {
                 assert!(
                     hom_equivalent(&semantics(&a.target), &semantics(&b.target)),
-                    "{label}: {name} solution differs from indexed"
+                    "{label}: {name} solution differs from scan"
                 );
                 assert!(
                     is_solution_concrete(source, &b.target, mapping).unwrap(),
                     "{label}: {name} result is not a solution"
                 );
-                if *name == "scan" {
-                    // Same amount of incompleteness: these two may name
-                    // nulls differently but must leave the same unknowns.
-                    assert_eq!(
-                        a.target.nulls().len(),
-                        b.target.nulls().len(),
-                        "{label}: {name} null count differs"
-                    );
-                }
             }
             (Err(TdxError::ChaseFailure { .. }), Err(TdxError::ChaseFailure { .. })) => {}
             (a, b) => panic!(
-                "{label}: engines disagree: indexed {:?}, {name} {:?}",
+                "{label}: engines disagree: scan {:?}, {name} {:?}",
                 a.as_ref().map(|r| r.target.total_len()),
                 b.as_ref().map(|r| r.target.total_len())
             ),
@@ -95,7 +82,7 @@ fn assert_engines_agree(label: &str, mapping: &SchemaMapping, source: &TemporalI
     if let Ok(a) = &reference {
         assert!(
             is_solution_concrete(source, &a.target, mapping).unwrap(),
-            "{label}: indexed result is not a solution"
+            "{label}: scan result is not a solution"
         );
     }
 }
@@ -110,7 +97,7 @@ fn assert_same_certain_answers(
 ) {
     for q_text in queries {
         let q: UnionQuery = parse_query(q_text).unwrap().into();
-        let reference = certain_answers_concrete(source, mapping, &q, &indexed()).unwrap();
+        let reference = certain_answers_concrete(source, mapping, &q, &scan()).unwrap();
         for (name, opts) in all_engines().iter().skip(1) {
             let ans = certain_answers_concrete(source, mapping, &q, opts).unwrap();
             assert_eq!(
@@ -212,6 +199,43 @@ fn random_workloads_agree() {
 }
 
 #[test]
+fn one_shot_chase_is_a_one_batch_session() {
+    // The production c-chase *is* the incremental engine: the default
+    // engine's result is byte-identical to a fresh session that absorbs
+    // the same source as its only batch.
+    use tdx::{DeltaBatch, IncrementalExchange};
+    let employment = EmploymentWorkload::generate(&EmploymentConfig {
+        persons: 25,
+        horizon: 30,
+        salary_coverage: 0.7,
+        seed: 4,
+        ..EmploymentConfig::default()
+    });
+    let mut cases = vec![(
+        "employment".to_string(),
+        employment.mapping,
+        employment.source,
+    )];
+    for n in [12usize, 20] {
+        let (mapping, source) = nested_mapping(n);
+        cases.push((format!("nested/{n}"), mapping, source));
+    }
+    for (label, mapping, source) in cases {
+        let one_shot = c_chase_with(&source, &mapping, &ChaseOptions::default()).unwrap();
+        let mut session = IncrementalExchange::new(mapping.clone()).unwrap();
+        let batch = session.apply(&DeltaBatch::from_instance(&source)).unwrap();
+        assert_eq!(one_shot.target, session.target(), "{label}: targets differ");
+        assert_eq!(one_shot.stats.tgd_steps, batch.tgd_steps, "{label}");
+        assert_eq!(one_shot.stats.egd_merges, batch.egd_merges, "{label}");
+        assert_eq!(
+            one_shot.stats.nulls_created,
+            session.stats().nulls_created,
+            "{label}"
+        );
+    }
+}
+
+#[test]
 fn partitioned_engine_is_thread_count_deterministic() {
     // Beyond hom-equivalence: the partitioned engine's task decomposition
     // does not depend on the worker count, so its output must be
@@ -302,8 +326,9 @@ fn distributed_engine_is_byte_identical_across_transports_and_server_counts() {
 
 #[test]
 fn distributed_engine_survives_faults_at_every_fused_frame_offset() {
-    // The fault matrix over the v2 pipelined protocol: kill server 1 of 3
-    // at *every* frame offset it ever reaches. Past the handshake every
+    // The crash matrix over the fused protocol: kill server 1 of 3 (a
+    // write breaking off mid-frame) at *every* frame offset it ever
+    // reaches. Past the handshake every
     // frame is a fused round, so each offset is a death mid-fused-round;
     // the retry path must respawn the server, replay its retained-image
     // watermark (the pre-frame image — fused exchanges update the shipped
@@ -311,7 +336,8 @@ fn distributed_engine_survives_faults_at_every_fused_frame_offset() {
     // frame, landing byte-identical to the unfaulted run every time.
     use std::sync::Arc;
     use tdx::core::chase::cluster::{
-        c_chase_distributed_with, ChannelSpawner, FaultInjector, TransportSpawner,
+        c_chase_distributed_with, ChannelSpawner, ChaosSpawner, FaultKind, FaultPlan,
+        TransportSpawner,
     };
     let w = EmploymentWorkload::generate(&EmploymentConfig {
         persons: 20,
@@ -323,13 +349,16 @@ fn distributed_engine_survives_faults_at_every_fused_frame_offset() {
     let clean = c_chase_with(&w.source, &w.mapping, &ChaseOptions::distributed(3)).unwrap();
     let mut kill_after = 0usize;
     loop {
-        let injector = Arc::new(FaultInjector::new(Arc::new(ChannelSpawner), 1, kill_after));
+        let spawner = Arc::new(ChaosSpawner::new(
+            Arc::new(ChannelSpawner),
+            &FaultPlan::single(1, kill_after, FaultKind::PartialWrite),
+        ));
         let faulted = c_chase_distributed_with(
             &w.source,
             &w.mapping,
             &ChaseOptions::distributed(3),
             3,
-            Arc::clone(&injector) as Arc<dyn TransportSpawner>,
+            Arc::clone(&spawner) as Arc<dyn TransportSpawner>,
         )
         .unwrap_or_else(|e| panic!("kill_after {kill_after}: chase failed: {e:?}"));
         assert_eq!(
@@ -338,7 +367,7 @@ fn distributed_engine_survives_faults_at_every_fused_frame_offset() {
         );
         assert_eq!(clean.stats.tgd_steps, faulted.stats.tgd_steps);
         assert_eq!(clean.stats.egd_merges, faulted.stats.egd_merges);
-        if !injector.tripped() {
+        if spawner.fired() == 0 {
             break; // offset is past the last frame the victim ever sees
         }
         kill_after += 1;
@@ -455,10 +484,14 @@ fn semi_naive_deltas_change_nothing_across_chase_options() {
     let mapping = paper_mapping();
     let source = figure4_source(&mapping);
     let q: UnionQuery = parse_query("Q(n, s) :- Emp(n, c, s)").unwrap().into();
-    let reference = certain_answers_concrete(&source, &mapping, &q, &indexed())
+    let reference = certain_answers_concrete(&source, &mapping, &q, &scan())
         .unwrap()
         .epochs();
-    for engine_opts in [indexed(), scan(), ChaseOptions::partitioned_parallel(2)] {
+    for engine_opts in [
+        scan(),
+        ChaseOptions::default(),
+        ChaseOptions::partitioned_parallel(2),
+    ] {
         for (renorm, naive) in [(true, false), (false, false), (true, true)] {
             let opts = ChaseOptions {
                 renormalize_between_egd_rounds: renorm,
@@ -640,10 +673,10 @@ fn resume_probe_survives_chaos_faults_at_every_frame_offset() {
     // ever trick the coordinator into adopting a blank server. Inject
     // each recoverable fault into server 1's carrier at every frame
     // offset it reaches (offset 0 *is* the Resume probe) and replay the
-    // same v1 script through the recovered cluster — ApplyDelta, a
-    // RunTgdRound, a RunLocalEgdRound, a Snapshot, and the Shutdown the
-    // drop broadcasts — under a watchdog. Every run must land
-    // byte-identical to the fault-free replay of the same script.
+    // same script through the recovered cluster — ApplyDelta, a fused tgd
+    // round, a fused egd round, a Snapshot, and the Shutdown the drop
+    // broadcasts — under a watchdog. Every run must land byte-identical to
+    // the fault-free replay of the same script.
     use std::sync::{mpsc, Arc};
     use std::time::Duration;
     use tdx::core::chase::cluster::protocol::FactLists;
@@ -663,13 +696,12 @@ fn resume_probe_survives_chaos_faults_at_every_frame_offset() {
     });
     let tp = TimelinePartition::new(&Breakpoints::from_points([10, 20]));
     let src_rels = w.mapping.source().len();
-    let tgt_rels = w.mapping.target().len();
     let mut delta: FactLists = vec![Vec::new(); src_rels];
     for (rel, fact) in w.source.iter_all() {
         delta[rel.0 as usize].push(fact.clone());
     }
 
-    // Resume-probe a blank 3-server cluster, then replay the v1 script.
+    // Resume-probe a blank 3-server cluster, then replay the script.
     // Returns a rendering of everything observable: the adoption count,
     // the tgd homomorphisms, the egd merges and the per-server snapshots.
     fn replay(
@@ -690,9 +722,8 @@ fn resume_probe_survives_chaos_faults_at_every_frame_offset() {
             [&empty_src, &empty_tgt],
         )?;
         cluster.apply_delta(StoreKind::Source, &empty_src, delta)?;
-        let homs = cluster.run_tgd_round(mapping.st_tgds().len())?;
-        cluster.apply_delta(StoreKind::Target, &empty_tgt, &empty_tgt)?;
-        let merges = cluster.run_egd_round()?;
+        let homs = cluster.run_tgd_round_fused(&empty_src, delta, mapping.st_tgds().len())?;
+        let merges = cluster.run_egd_round_fused(&empty_tgt, &empty_tgt)?;
         let snaps = cluster.snapshots(StoreKind::Source)?;
         Ok((resumed, format!("{homs:?} {merges:?} {snaps:?}")))
     }
@@ -750,10 +781,9 @@ fn resume_probe_survives_chaos_faults_at_every_frame_offset() {
         assert!(
             offset >= 5,
             "{kind:?}: matrix stopped at offset {offset} — it must reach past the \
-             Resume probe and Hello fallback into the v1 rounds"
+             Resume probe and Hello fallback into the fused rounds"
         );
     }
-    let _ = tgt_rels;
 }
 
 /// The chaos/fault-offset coverage table: every wire frame of the cluster
@@ -769,14 +799,6 @@ const PROTOCOL_FAULT_MATRIX: &[(&str, &str)] = &[
     (
         "Message::ApplyDelta",
         "chaos_faults_at_every_frame_offset_land_byte_identical_under_a_watchdog",
-    ),
-    (
-        "Message::RunTgdRound",
-        "resume_probe_survives_chaos_faults_at_every_frame_offset",
-    ),
-    (
-        "Message::RunLocalEgdRound",
-        "resume_probe_survives_chaos_faults_at_every_frame_offset",
     ),
     (
         "Message::Snapshot",
@@ -809,14 +831,6 @@ const PROTOCOL_FAULT_MATRIX: &[(&str, &str)] = &[
     (
         "Response::Applied",
         "chaos_faults_at_every_frame_offset_land_byte_identical_under_a_watchdog",
-    ),
-    (
-        "Response::Homs",
-        "resume_probe_survives_chaos_faults_at_every_frame_offset",
-    ),
-    (
-        "Response::Merges",
-        "resume_probe_survives_chaos_faults_at_every_frame_offset",
     ),
     (
         "Response::Facts",
@@ -873,5 +887,5 @@ fn protocol_fault_matrix_is_exhaustive_and_names_live_tests() {
             "{frame}: covering test {test} does not exist"
         );
     }
-    assert_eq!(seen.len(), 20, "the v3 protocol has 20 frames");
+    assert_eq!(seen.len(), 16, "the v4 protocol has 16 frames");
 }

@@ -1,4 +1,5 @@
-//! A second reproduction finding (see `DESIGN.md` §7): shared existentials
+//! A second reproduction finding (see "Reproduction findings" in
+//! `docs/parallelism.md`): shared existentials
 //! need *base alignment* under fragmentation.
 //!
 //! Definition 16 places one fresh annotated null `w^[s,e)` into every head
