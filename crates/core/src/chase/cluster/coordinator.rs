@@ -59,10 +59,14 @@
 //!
 //! # Determinism
 //!
-//! Responses are tagged with their partition index and folded in ascending
-//! partition order; a partition's enumeration depends on neither the
-//! server hosting it nor the transport carrying the frames. The result is
-//! byte-identical across `{channel, tcp} × any server count`
+//! Servers run the session's own join kernel on the dirty intervals whose
+//! start partition they own. Responses are tagged with their partition
+//! index and folded in ascending partition order — ascending interval
+//! order, the local session's hom order — and merge ops are then sorted
+//! stably by (egd, interval), the local egd phase's order. A partition's
+//! enumeration depends on neither the server hosting it nor the transport
+//! carrying the frames, so the result is byte-identical to the local
+//! engine across `{channel, tcp} × any server count`
 //! (`tests/equivalence.rs`).
 
 use super::protocol::{
@@ -80,7 +84,7 @@ use std::time::Duration;
 use tdx_logic::{Atom, RelId, Schema, SchemaMapping, Term, Var};
 use tdx_storage::codec::{decode, encode};
 use tdx_storage::fxhash::FxHashSet;
-use tdx_storage::{Row, SearchOptions, TemporalFact, Value};
+use tdx_storage::{Row, TemporalFact, Value};
 use tdx_temporal::{Interval, TimelinePartition};
 
 // ---------------------------------------------------------------------------
@@ -194,7 +198,7 @@ pub(crate) fn memo_probe_key(
 /// identical failure rendering for every engine. Returns the number of
 /// effective identifications.
 pub(crate) fn fold_merge_ops(
-    ops: impl IntoIterator<Item = (usize, Value, Value, Interval)>,
+    ops: impl IntoIterator<Item = MergeOp>,
     uf: &mut AnnotatedUnionFind,
     egd_name: impl Fn(usize) -> String,
 ) -> Result<usize> {
@@ -212,7 +216,7 @@ pub(crate) fn fold_merge_ops(
                     UfKey::Null(n, _) => n.to_string(),
                 };
                 return Err(TdxError::ChaseFailure {
-                    dependency: egd_name(ei),
+                    dependency: egd_name(ei as usize),
                     left: render(c1),
                     right: render(c2),
                     interval: Some(iv),
@@ -489,15 +493,8 @@ impl DistributedCluster {
         mapping: &SchemaMapping,
         tp: &TimelinePartition,
         servers: usize,
-        sopts: SearchOptions,
     ) -> Result<DistributedCluster> {
-        Self::spawn_with(
-            mapping,
-            tp,
-            servers,
-            sopts,
-            spawner_for(resolve_transport(None)),
-        )
+        Self::spawn_with(mapping, tp, servers, spawner_for(resolve_transport(None)))
     }
 
     /// [`DistributedCluster::spawn`] on an explicit transport backend.
@@ -505,10 +502,9 @@ impl DistributedCluster {
         mapping: &SchemaMapping,
         tp: &TimelinePartition,
         servers: usize,
-        sopts: SearchOptions,
         transport: TransportKind,
     ) -> Result<DistributedCluster> {
-        Self::spawn_with(mapping, tp, servers, sopts, spawner_for(transport))
+        Self::spawn_with(mapping, tp, servers, spawner_for(transport))
     }
 
     /// [`DistributedCluster::spawn`] through an arbitrary spawner — the
@@ -517,10 +513,9 @@ impl DistributedCluster {
         mapping: &SchemaMapping,
         tp: &TimelinePartition,
         servers: usize,
-        sopts: SearchOptions,
         spawner: Arc<dyn TransportSpawner>,
     ) -> Result<DistributedCluster> {
-        Self::spawn_with_deadline(mapping, tp, servers, sopts, spawner, None)
+        Self::spawn_with_deadline(mapping, tp, servers, spawner, None)
     }
 
     /// [`DistributedCluster::spawn_with`] with an explicit per-frame
@@ -534,7 +529,6 @@ impl DistributedCluster {
         mapping: &SchemaMapping,
         tp: &TimelinePartition,
         servers: usize,
-        sopts: SearchOptions,
         spawner: Arc<dyn TransportSpawner>,
         deadline: Option<Duration>,
     ) -> Result<DistributedCluster> {
@@ -542,7 +536,7 @@ impl DistributedCluster {
         let servers = servers.max(1);
         let mut slots = Vec::with_capacity(servers);
         for s in 0..servers {
-            let cfg = ServerConfig::for_server(mapping, tp, s, servers, sopts);
+            let cfg = ServerConfig::for_server(mapping, tp, s, servers);
             let transport = spawn_transport(&*spawner, s, deadline);
             slots.push(ServerSlot::new(transport, encode(&Message::Hello(cfg))));
         }
@@ -592,7 +586,6 @@ impl DistributedCluster {
         mapping: &SchemaMapping,
         tp: &TimelinePartition,
         servers: usize,
-        sopts: SearchOptions,
         spawner: Arc<dyn TransportSpawner>,
         deadline: Option<Duration>,
         expected: [&FactLists; 2],
@@ -602,7 +595,7 @@ impl DistributedCluster {
         let mut slots = Vec::with_capacity(servers);
         let mut cfg_digests = Vec::with_capacity(servers);
         for s in 0..servers {
-            let cfg = ServerConfig::for_server(mapping, tp, s, servers, sopts);
+            let cfg = ServerConfig::for_server(mapping, tp, s, servers);
             let transport = spawn_transport(&*spawner, s, deadline);
             cfg_digests.push(config_digest(&cfg));
             slots.push(ServerSlot::new(transport, encode(&Message::Hello(cfg))));
@@ -1128,7 +1121,9 @@ impl DistributedCluster {
 
     /// One fused egd round: sync the target lists and enumerate the
     /// delta-touching egd matches in a single round trip per server.
-    /// Returns the merge operations in ascending partition order.
+    /// Returns the merge operations stably ordered by (egd index,
+    /// interval) — the order a local session enumerates them in, so both
+    /// fold into the same union-find.
     pub fn run_egd_round_fused(
         &mut self,
         pre: &FactLists,
@@ -1151,7 +1146,9 @@ impl DistributedCluster {
             }
         }
         grouped.sort_by_key(|(p, _)| *p);
-        Ok(grouped.into_iter().flat_map(|(_, ops)| ops).collect())
+        let mut ops: Vec<MergeOp> = grouped.into_iter().flat_map(|(_, ops)| ops).collect();
+        ops.sort_by_key(|&(ei, _, _, iv)| (ei, iv));
+        Ok(ops)
     }
 
     /// Per server: the owned facts and boundary replicas it currently holds
@@ -1421,8 +1418,7 @@ mod tests {
         // their snapshots.
         let mapping = paper_mapping();
         let tp = TimelinePartition::new(&tdx_temporal::Breakpoints::from_points([10, 20, 30]));
-        let mut cluster =
-            DistributedCluster::spawn(&mapping, &tp, 2, SearchOptions::default()).unwrap();
+        let mut cluster = DistributedCluster::spawn(&mapping, &tp, 2).unwrap();
         use tdx_storage::row;
         let unbounded = TemporalFact {
             data: row([Value::str("Ada"), Value::str("IBM")]),
@@ -1455,8 +1451,7 @@ mod tests {
         use tdx_storage::row;
         let mapping = paper_mapping();
         let tp = TimelinePartition::new(&tdx_temporal::Breakpoints::from_points([10, 20]));
-        let mut cluster =
-            DistributedCluster::spawn(&mapping, &tp, 1, SearchOptions::default()).unwrap();
+        let mut cluster = DistributedCluster::spawn(&mapping, &tp, 1).unwrap();
         let fact = |name: &str, s: u64| TemporalFact {
             data: row([Value::str(name), Value::str("IBM")]),
             interval: iv(s, s + 3),
@@ -1639,7 +1634,6 @@ mod tests {
             &mapping,
             &tp,
             1,
-            SearchOptions::default(),
             Arc::clone(&spawner) as Arc<dyn TransportSpawner>,
         )
         .expect("a permanently dead server degrades to local execution, not failure");
@@ -1698,14 +1692,9 @@ mod tests {
             Arc::new(ChannelSpawner),
             &FaultPlan::single(0, 1, FaultKind::PartialWrite),
         ));
-        let mut cluster = DistributedCluster::spawn_with(
-            &mapping,
-            &tp,
-            1,
-            SearchOptions::default(),
-            spawner as Arc<dyn TransportSpawner>,
-        )
-        .unwrap();
+        let mut cluster =
+            DistributedCluster::spawn_with(&mapping, &tp, 1, spawner as Arc<dyn TransportSpawner>)
+                .unwrap();
         // The Hello consumed the one pre-fault frame; the first heartbeat
         // trips the fault, and the respawned carrier is clean.
         cluster.heartbeat().unwrap();

@@ -49,7 +49,7 @@
 use std::sync::Arc;
 use tdx_logic::{Atom, Schema, SchemaMapping, Var};
 use tdx_storage::codec::{ByteReader, ByteWriter, CodecError, Wire};
-use tdx_storage::{SearchOptions, TemporalFact, Value};
+use tdx_storage::{TemporalFact, Value};
 use tdx_temporal::{Interval, TimelinePartition};
 
 /// Per-relation fact lists — the unit `ApplyDelta` ships and servers
@@ -76,7 +76,10 @@ pub type FactLists = Vec<Vec<TemporalFact>>;
 /// their responses are gone, the fused frames no longer request or return
 /// server-side Algorithm-1 discovery (normalization stays on the
 /// coordinator), and `Hello` carries the version.
-pub const PROTOCOL_VERSION: u32 = 4;
+///
+/// v5: servers run the session's dirty-interval join kernel, which takes
+/// no matcher options, so [`ServerConfig`] no longer carries them.
+pub const PROTOCOL_VERSION: u32 = 5;
 
 /// Writes this build's [`PROTOCOL_VERSION`] stamp.
 fn write_version(w: &mut ByteWriter) {
@@ -135,8 +138,6 @@ pub struct ServerConfig {
     pub(crate) tgd_bodies: Vec<Vec<Atom>>,
     /// Egd bodies with their lhs/rhs variables, in mapping order.
     pub(crate) egds: Vec<(Vec<Atom>, Var, Var)>,
-    /// Matcher options.
-    pub(crate) sopts: SearchOptions,
 }
 
 impl ServerConfig {
@@ -149,7 +150,6 @@ impl ServerConfig {
         tp: &TimelinePartition,
         s: usize,
         servers: usize,
-        sopts: SearchOptions,
     ) -> ServerConfig {
         let assignment = tp.server_assignment(servers);
         ServerConfig {
@@ -163,8 +163,15 @@ impl ServerConfig {
                 .iter()
                 .map(|e| (e.body.clone(), e.lhs, e.rhs))
                 .collect(),
-            sopts,
         }
+    }
+
+    /// Whether this server owns the partition `iv` starts in — the owner
+    /// of every shared match at `iv`.
+    pub(crate) fn owns(&self, iv: &Interval) -> bool {
+        self.owned
+            .binary_search(&self.tp.part_of(iv.start()))
+            .is_ok()
     }
 }
 
@@ -176,7 +183,6 @@ impl Wire for ServerConfig {
         self.owned.write(w);
         self.tgd_bodies.write(w);
         self.egds.write(w);
-        self.sopts.write(w);
     }
     fn read(r: &mut ByteReader<'_>) -> std::result::Result<Self, CodecError> {
         Ok(ServerConfig {
@@ -186,7 +192,6 @@ impl Wire for ServerConfig {
             owned: Wire::read(r)?,
             tgd_bodies: Wire::read(r)?,
             egds: Wire::read(r)?,
-            sopts: SearchOptions::read(r)?,
         })
     }
 }
@@ -211,8 +216,8 @@ pub enum SyncOp {
 }
 
 /// One relation's `ApplyDelta` payload: the sync program and the boundary
-/// between the reconstructed pre block and delta block (`OwnerDelta` match
-/// scoping pivots on the delta block).
+/// between the reconstructed pre block and delta block (the server's
+/// shared join emits only matches touching the delta block).
 #[derive(Clone, Debug, PartialEq)]
 pub struct RelationSync {
     /// Sync program reconstructing the relation's new fact list.
@@ -555,7 +560,7 @@ mod tests {
         )
         .unwrap();
         let tp = TimelinePartition::new(&Breakpoints::from_points([5, 12, 30]));
-        ServerConfig::for_server(&mapping, &tp, 1, 2, SearchOptions::default())
+        ServerConfig::for_server(&mapping, &tp, 1, 2)
     }
 
     fn sample_fact() -> TemporalFact {
@@ -688,26 +693,28 @@ mod tests {
     #[test]
     fn v3_hello_is_rejected_with_the_version_error() {
         // A v3 Hello carried no version stamp, and a peer stamping any
-        // other generation is the same skew: both must fail the decode
+        // other generation is the same skew: all must fail the decode
         // with the typed version error instead of configuring a server
-        // that would then misread the v4 rounds.
+        // that would then misread the rounds that follow.
         let cfg = encode(&sample_config());
         let unstamped: Vec<u8> = [&[0u8][..], &cfg].concat();
-        let mut w = ByteWriter::new();
-        w.u8(0);
-        w.u32(3);
-        let stamped: Vec<u8> = [w.into_bytes(), cfg].concat();
-        for frame in [&unstamped, &stamped] {
+        let stamped = |version: u32| {
+            let mut w = ByteWriter::new();
+            w.u8(0);
+            w.u32(version);
+            [w.into_bytes(), cfg.clone()].concat()
+        };
+        let (v3, v4) = (stamped(3), stamped(4));
+        for frame in [&unstamped, &v3, &v4] {
             let err = decode::<Message>(frame).unwrap_err();
             assert!(
                 err.0.starts_with("protocol version mismatch"),
                 "unexpected error: {err}"
             );
         }
-        assert!(decode::<Message>(&stamped)
-            .unwrap_err()
-            .0
-            .contains("peer speaks v3"));
+        for (frame, peer) in [(&v3, "peer speaks v3"), (&v4, "peer speaks v4")] {
+            assert!(decode::<Message>(frame).unwrap_err().0.contains(peer));
+        }
         // This build's own Hello still round-trips.
         let hello = Message::Hello(sample_config());
         assert_eq!(decode::<Message>(&encode(&hello)).unwrap(), hello);

@@ -15,44 +15,55 @@
 //! # Retained images
 //!
 //! Per store the server keeps the **retained image**: the concatenated
-//! pre + delta fact lists as of the last `ApplyDelta`, per relation. An
-//! `ApplyDelta` replays the shipped [`SyncOp`] program against it —
-//! keeping runs of retained facts in order, inserting only the shipped
-//! ones — and rebuilds the local [`ShardedFactStore`] from the
-//! reconstructed list split at the shipped pre/delta boundary. The
-//! rebuild is local CPU; only genuinely new facts cross the wire.
+//! pre + delta fact lists as of the last `ApplyDelta`, per relation, and
+//! nothing else. An `ApplyDelta` replays the shipped [`SyncOp`] program
+//! against it — keeping runs of retained facts in order, inserting only
+//! the shipped ones — and records the shipped pre/delta boundary; only
+//! genuinely new facts cross the wire. A fused round then runs the
+//! session's own join kernel (`shared_join_delta` of
+//! `chase/partitioned.rs`) over the image split at that boundary, on the dirty intervals whose
+//! start partition this server owns. A shared match lives at one interval
+//! and every fact of it carries that interval, so the owner of the start
+//! partition holds the whole match and the owner split is exact; routing
+//! preserves list order, so the server enumerates its intervals exactly
+//! as the session would.
 
 use super::protocol::{
     config_digest, image_digest, FactLists, Message, PartitionHoms, PartitionMerges, RelationSync,
     Response, ServerConfig, StoreKind, SyncOp, WireHom,
 };
+use crate::chase::partitioned::{egd_ops, shared_join_delta, DirtyIndex, EgdPlan, JoinPlan};
+use std::collections::BTreeMap;
 use std::io;
 use std::net::{TcpListener, TcpStream};
 use std::sync::mpsc::{Receiver, Sender};
-use std::sync::Arc;
 use tdx_storage::codec::{decode, encode, read_frame, write_frame};
-use tdx_storage::{PartScope, ShardedFactStore, TemporalMode};
+use tdx_storage::TemporalFact;
 
-/// The server state machine: configuration, retained images, and the
-/// stores built from them.
+/// The server state machine: configuration, its compiled dependency
+/// bodies, and the retained images.
 pub(crate) struct ServerState {
     cfg: Option<ServerConfig>,
+    /// The configuration's tgd bodies, compiled for the shared join.
+    tgds: Vec<JoinPlan>,
+    /// The configuration's egds, compiled for the shared join.
+    egds: Vec<EgdPlan>,
     /// Retained image per store (concatenated pre + delta lists), indexed
     /// by [`StoreKind::idx`].
     image: [FactLists; 2],
     /// Pre/delta boundary of the last `ApplyDelta`, per store, per
     /// relation.
     splits: [Vec<usize>; 2],
-    stores: [Option<ShardedFactStore>; 2],
 }
 
 impl ServerState {
     pub(crate) fn new() -> ServerState {
         ServerState {
             cfg: None,
+            tgds: Vec::new(),
+            egds: Vec::new(),
             image: [Vec::new(), Vec::new()],
             splits: [Vec::new(), Vec::new()],
-            stores: [None, None],
         }
     }
 
@@ -90,12 +101,24 @@ impl ServerState {
             Message::Hello(cfg) => {
                 // (Re)configure; any retained image belongs to the old
                 // configuration.
+                let compiled = |e: crate::error::TdxError| format!("Hello: {e}");
+                self.tgds = cfg
+                    .tgd_bodies
+                    .iter()
+                    .map(|body| JoinPlan::compile(body, &cfg.src_schema))
+                    .collect::<Result<_, _>>()
+                    .map_err(compiled)?;
+                self.egds = cfg
+                    .egds
+                    .iter()
+                    .map(|(body, lhs, rhs)| EgdPlan::compile(body, *lhs, *rhs, &cfg.tgt_schema))
+                    .collect::<Result<_, _>>()
+                    .map_err(compiled)?;
                 self.image = [
                     vec![Vec::new(); cfg.src_schema.len()],
                     vec![Vec::new(); cfg.tgt_schema.len()],
                 ];
                 self.splits = [vec![0; cfg.src_schema.len()], vec![0; cfg.tgt_schema.len()]];
-                self.stores = [None, None];
                 self.cfg = Some(cfg);
                 Ok(Response::Ready)
             }
@@ -117,25 +140,20 @@ impl ServerState {
                 })
             }
             Message::Snapshot { store } => {
+                // Facts starting in an owned partition are this server's
+                // owner facts, the rest are boundary replicas.
                 let cfg = self.cfg()?;
-                let (store_opt, schema) = match store {
-                    StoreKind::Source => (&self.stores[0], &cfg.src_schema),
-                    StoreKind::Target => (&self.stores[1], &cfg.tgt_schema),
-                };
-                let nrels = schema.len();
-                let mut owned: FactLists = vec![Vec::new(); nrels];
-                let mut replicas: FactLists = vec![Vec::new(); nrels];
-                if let Some(s) = store_opt {
-                    // Every shipped fact lands in the local partition owning
-                    // its start point; the ones in owned partitions are this
-                    // server's owner facts, the rest are boundary replicas.
-                    for (rel, _, fact) in s.iter_all() {
-                        let p = cfg.tp.part_of(fact.interval.start());
-                        if cfg.owned.binary_search(&p).is_ok() {
-                            owned[rel.0 as usize].push(fact.clone());
+                let image = &self.image[store.idx()];
+                let mut owned: FactLists = vec![Vec::new(); image.len()];
+                let mut replicas: FactLists = vec![Vec::new(); image.len()];
+                for (r, facts) in image.iter().enumerate() {
+                    for fact in facts {
+                        let side = if cfg.owns(&fact.interval) {
+                            &mut owned
                         } else {
-                            replicas[rel.0 as usize].push(fact.clone());
-                        }
+                            &mut replicas
+                        };
+                        side[r].push(fact.clone());
                     }
                 }
                 Ok(Response::Facts { owned, replicas })
@@ -143,39 +161,31 @@ impl ServerState {
         }
     }
 
-    /// Replays a sync program against the retained image of `store` and
-    /// rebuilds its local match store — the body of `ApplyDelta` and the
-    /// sync half of every fused round. A program that reproduces the
-    /// retained image verbatim (one full keep run, same split) skips the
-    /// store rebuild: every fused round re-syncs every relation of its
-    /// store, and a round that changed nothing needs no new store.
+    /// Replays a sync program against the retained image of `store` — the
+    /// body of `ApplyDelta` and the sync half of every fused round. A
+    /// program that reproduces the retained image verbatim (one full keep
+    /// run, same split) leaves it untouched: every fused round re-syncs
+    /// every relation of its store, and a round that changed nothing need
+    /// not copy it.
     fn apply_sync(&mut self, store: StoreKind, sync: Vec<RelationSync>) -> Result<(), String> {
-        let (schema, tp) = {
-            let cfg = self.cfg()?;
-            let schema = match store {
-                StoreKind::Source => Arc::clone(&cfg.src_schema),
-                StoreKind::Target => Arc::clone(&cfg.tgt_schema),
-            };
-            (schema, cfg.tp.clone())
-        };
-        let nrels = schema.len();
+        self.cfg()?;
+        let image = &mut self.image[store.idx()];
+        let splits = &mut self.splits[store.idx()];
+        let nrels = image.len();
         if sync.len() != nrels {
             return Err(format!(
                 "ApplyDelta relation count mismatch: got {}, schema has {nrels}",
                 sync.len()
             ));
         }
-        let image = &mut self.image[store.idx()];
-        let splits = &mut self.splits[store.idx()];
-        let unchanged = self.stores[store.idx()].is_some()
-            && sync.iter().enumerate().all(|(r, rs)| {
-                rs.split as usize == splits[r]
-                    && match rs.ops.as_slice() {
-                        [] => image[r].is_empty(),
-                        [SyncOp::Keep { skip: 0, take }] => *take as usize == image[r].len(),
-                        _ => false,
-                    }
-            });
+        let unchanged = sync.iter().enumerate().all(|(r, rs)| {
+            rs.split as usize == splits[r]
+                && match rs.ops.as_slice() {
+                    [] => image[r].is_empty(),
+                    [SyncOp::Keep { skip: 0, take }] => *take as usize == image[r].len(),
+                    _ => false,
+                }
+        });
         if unchanged {
             return Ok(());
         }
@@ -236,98 +246,60 @@ impl ServerState {
             image[r] = new_list;
             splits[r] = split;
         }
-        let (image, splits) = (&self.image[store.idx()], &self.splits[store.idx()]);
-        let built = ShardedFactStore::build_with_delta(schema, tp, 1, false, |rel| {
-            let r = rel.0 as usize;
-            image[r].split_at(splits[r])
-        });
-        self.stores[store.idx()] = Some(built);
         Ok(())
     }
 
-    /// Enumerates the delta-touching tgd body matches of the owned
-    /// partitions.
-    fn tgd_homs(&self) -> Result<Vec<PartitionHoms>, String> {
-        let cfg = self.cfg()?;
-        let store = self.stores[StoreKind::Source.idx()]
-            .as_ref()
-            .ok_or("tgd round before the source store was synced")?;
-        let mut out: Vec<PartitionHoms> = Vec::new();
-        for &p in &cfg.owned {
-            let view = store.part(p);
-            if !view.has_delta() {
-                continue; // nothing new can match here
-            }
-            let mut per_tgd: Vec<Vec<WireHom>> = Vec::new();
-            for body in &cfg.tgd_bodies {
-                let mut homs: Vec<WireHom> = Vec::new();
-                view.find_matches(
-                    body,
-                    TemporalMode::Shared,
-                    &[],
-                    None,
-                    cfg.sopts,
-                    PartScope::OwnerDelta,
-                    &mut |m| {
-                        homs.push((
-                            m.bindings()
-                                .into_iter()
-                                .map(|(v, val)| (v.name().to_string(), val))
-                                .collect(),
-                            m.shared_interval().expect("temporal store binds t"),
-                        ));
-                        true
-                    },
-                )
-                .map_err(|e| e.to_string())?;
-                per_tgd.push(homs);
-            }
-            if per_tgd.iter().any(|h| !h.is_empty()) {
-                out.push((p as u64, per_tgd));
-            }
-        }
-        Ok(out)
+    /// The retained image of `store` split at the last shipped boundary:
+    /// the `(pre, delta)` lists the join kernel runs over.
+    fn split(&self, store: StoreKind) -> (Vec<&[TemporalFact]>, Vec<&[TemporalFact]>) {
+        let (image, splits) = (&self.image[store.idx()], &self.splits[store.idx()]);
+        image
+            .iter()
+            .zip(splits)
+            .map(|(list, &at)| list.split_at(at))
+            .unzip()
     }
 
-    /// Enumerates the delta-touching egd body matches of the owned
-    /// partitions.
+    /// Enumerates the delta-touching tgd body matches at the dirty
+    /// intervals this server owns, grouped per start partition
+    /// (ascending).
+    fn tgd_homs(&self) -> Result<Vec<PartitionHoms>, String> {
+        let cfg = self.cfg()?;
+        let (pre, delta) = self.split(StoreKind::Source);
+        let idx = DirtyIndex::build(&pre, &delta, |iv| cfg.owns(iv));
+        let mut parts: BTreeMap<u64, Vec<Vec<WireHom>>> = BTreeMap::new();
+        for (ti, plan) in self.tgds.iter().enumerate() {
+            shared_join_delta(plan, &pre, &delta, &idx, |vals, iv| {
+                let binding = plan
+                    .vars
+                    .iter()
+                    .zip(vals)
+                    .map(|(v, val)| (v.name().to_string(), *val))
+                    .collect();
+                parts
+                    .entry(cfg.tp.part_of(iv.start()) as u64)
+                    .or_insert_with(|| vec![Vec::new(); self.tgds.len()])[ti]
+                    .push((binding, iv));
+            });
+        }
+        Ok(parts.into_iter().collect())
+    }
+
+    /// Enumerates the merge ops of the delta-touching egd body matches at
+    /// the dirty intervals this server owns, grouped per start partition
+    /// (ascending).
     fn egd_merges(&self) -> Result<Vec<PartitionMerges>, String> {
         let cfg = self.cfg()?;
-        let store = self.stores[StoreKind::Target.idx()]
-            .as_ref()
-            .ok_or("egd round before the target store was synced")?;
-        let mut out: Vec<PartitionMerges> = Vec::new();
-        for &p in &cfg.owned {
-            let view = store.part(p);
-            if !view.has_delta() {
-                continue;
-            }
-            let mut ops: Vec<super::protocol::MergeOp> = Vec::new();
-            for (ei, (body, lhs, rhs)) in cfg.egds.iter().enumerate() {
-                view.find_matches(
-                    body,
-                    TemporalMode::Shared,
-                    &[],
-                    None,
-                    cfg.sopts,
-                    PartScope::OwnerDelta,
-                    &mut |m| {
-                        let iv = m.shared_interval().expect("temporal store binds t");
-                        let a = m.value(*lhs).expect("egd lhs in body");
-                        let b = m.value(*rhs).expect("egd rhs in body");
-                        if a != b {
-                            ops.push((ei as u32, a, b, iv));
-                        }
-                        true
-                    },
-                )
-                .map_err(|e| e.to_string())?;
-            }
-            if !ops.is_empty() {
-                out.push((p as u64, ops));
-            }
-        }
-        Ok(out)
+        let (pre, delta) = self.split(StoreKind::Target);
+        let idx = DirtyIndex::build(&pre, &delta, |iv| cfg.owns(iv));
+        let mut parts: BTreeMap<u64, Vec<super::protocol::MergeOp>> = BTreeMap::new();
+        egd_ops(&self.egds, &pre, &delta, &idx, |op| {
+            parts
+                .entry(cfg.tp.part_of(op.3.start()) as u64)
+                .or_default()
+                .push(op);
+        });
+        Ok(parts.into_iter().collect())
     }
 
     /// Test/audit access: the retained image of `store`, per relation.
@@ -505,7 +477,7 @@ mod tests {
     use super::*;
     use crate::chase::cluster::protocol::RelationSync;
     use tdx_logic::parse_mapping;
-    use tdx_storage::{row, SearchOptions, TemporalFact, Value};
+    use tdx_storage::{row, TemporalFact, Value};
     use tdx_temporal::{Breakpoints, Interval, TimelinePartition};
 
     fn config() -> ServerConfig {
@@ -517,7 +489,7 @@ mod tests {
         )
         .unwrap();
         let tp = TimelinePartition::new(&Breakpoints::from_points([10, 20]));
-        ServerConfig::for_server(&mapping, &tp, 0, 1, SearchOptions::default())
+        ServerConfig::for_server(&mapping, &tp, 0, 1)
     }
 
     fn fact(name: &str, company: &str, iv: Interval) -> TemporalFact {

@@ -19,12 +19,12 @@
 //! 2. **Delta-scoped tgd matching.** A [`TemporalMode::Shared`] match binds
 //!    every body atom to one interval, so new matches can only exist at
 //!    *dirty intervals* — intervals carrying at least one changed fact.
-//!    The session joins per dirty interval (a strictly finer unit than the
-//!    dirty timeline partitions of the sharded store) and requires every
-//!    emitted match to touch the delta block, which is exactly the
-//!    `PartScope::OwnerDelta` pivot decomposition a partition server runs,
-//!    evaluated against the working fact lists with no store build on the
-//!    fast path.
+//!    The session runs the chase's one join kernel, `shared_join_delta`
+//!    of `chase/partitioned.rs`, over the working fact lists: it joins per dirty interval and emits
+//!    only matches that touch the delta block, with no store build. The
+//!    partition servers of a distributed session run the same kernel over
+//!    their retained images, each on the dirty intervals whose start
+//!    partition it owns, so both sites see one match order.
 //! 3. **Restricted checks across batches.** "Has this hom an extension into
 //!    the target?" must consult everything previous batches produced. The
 //!    session keeps its per-tgd memo sets *persistent*:
@@ -36,8 +36,9 @@
 //! 4. **Egd fixpoint over the boundary-reconciliation set.** New target
 //!    facts plus every settled fact they forced to fragment form the delta
 //!    block; egd matching is again dirty-interval scoped and
-//!    delta-restricted, rounds rewrite through the same annotated
-//!    union-find and re-fragment via [`refragment_lists`]. A match among
+//!    delta-restricted, each round folds its merge ops in (egd, interval)
+//!    order through the coordinator's `fold_merge_ops` into an annotated
+//!    union-find, rewrites and re-fragments via [`refragment_lists`]. A match among
 //!    settled facts needs no revisit: the previous batch left them at an
 //!    egd fixpoint, so re-enumerating it would find both sides already
 //!    equal — the semi-naive argument of the egd rounds, carried across
@@ -69,19 +70,22 @@ use crate::chase::cluster::{
     spawner_for, Check, DistributedCluster, Hom, MergeOp, TrafficStats, TransportSpawner,
 };
 use crate::chase::concrete::{
-    instantiate, AnnotatedUnionFind, CChaseResult, ChaseEngine, ChaseOptions, ChaseStats, UfKey,
+    instantiate, AnnotatedUnionFind, CChaseResult, ChaseEngine, ChaseOptions, ChaseStats,
 };
-use crate::chase::partitioned::{fact_at, refragment_lists, rewrite_values, FactLists};
+use crate::chase::partitioned::{
+    egd_ops, refragment_lists, rewrite_values, shared_join_delta, DirtyIndex, EgdPlan, FactLists,
+    JoinPlan,
+};
 use crate::error::{Result, TdxError};
 use crate::query::cache::{DirtySet, QueryService};
 use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex};
-use tdx_logic::{Atom, RelId, Schema, SchemaMapping, Term, Var};
+use tdx_logic::{Atom, RelId, Schema, SchemaMapping, Var};
 use tdx_storage::codec::encode;
-use tdx_storage::fxhash::{FxHashMap, FxHashSet};
+use tdx_storage::fxhash::FxHashSet;
 use tdx_storage::{
-    ByteReader, ByteWriter, CodecError, NullGen, Row, SearchOptions, TemporalFact,
-    TemporalInstance, TemporalMode, Value, Wire,
+    ByteReader, ByteWriter, CodecError, NullGen, Row, TemporalFact, TemporalInstance, TemporalMode,
+    Value, Wire,
 };
 use tdx_temporal::{Breakpoints, Interval, TimePoint, TimelinePartition};
 
@@ -224,231 +228,6 @@ pub struct SessionStats {
     pub nulls_created: u64,
 }
 
-/// One body atom compiled for the shared-interval join: relation plus a
-/// slot per column (a constant to filter on, or a variable slot index).
-#[derive(Clone)]
-struct AtomPlan {
-    rel: RelId,
-    slots: Vec<SlotPlan>,
-}
-
-#[derive(Clone)]
-enum SlotPlan {
-    Const(Value),
-    Var(usize),
-}
-
-/// A conjunction compiled for dirty-interval shared joins.
-#[derive(Clone)]
-struct JoinPlan {
-    atoms: Vec<AtomPlan>,
-    /// Slot index → variable, in first-occurrence order.
-    vars: Vec<Var>,
-}
-
-impl JoinPlan {
-    fn compile(atoms: &[Atom], schema: &Schema) -> Result<JoinPlan> {
-        let mut vars: Vec<Var> = Vec::new();
-        let mut plans = Vec::with_capacity(atoms.len());
-        for atom in atoms {
-            let rel = schema
-                .rel_id(atom.relation)
-                .ok_or_else(|| TdxError::Invalid(format!("unknown relation {}", atom.relation)))?;
-            if schema.relation(rel).arity() != atom.arity() {
-                return Err(TdxError::Invalid(format!(
-                    "atom {} does not match relation arity",
-                    atom.relation
-                )));
-            }
-            let slots = atom
-                .terms
-                .iter()
-                .map(|t| match t {
-                    Term::Const(c) => SlotPlan::Const(Value::Const(*c)),
-                    Term::Var(v) => match vars.iter().position(|w| w == v) {
-                        Some(i) => SlotPlan::Var(i),
-                        None => {
-                            vars.push(*v);
-                            SlotPlan::Var(vars.len() - 1)
-                        }
-                    },
-                })
-                .collect();
-            plans.push(AtomPlan { rel, slots });
-        }
-        Ok(JoinPlan { atoms: plans, vars })
-    }
-
-    fn slot_of(&self, v: Var) -> Option<usize> {
-        self.vars.iter().position(|w| *w == v)
-    }
-}
-
-/// A per-phase candidate index for dirty-interval shared joins: for every
-/// relation, the facts living at a *dirty interval* (an interval some delta
-/// fact carries, in any relation), bucketed by interval and tagged fresh
-/// when drawn from the delta block. Built once per phase with a single
-/// scan per relation and shared by every join of that phase.
-struct DirtyIndex {
-    /// Sorted dirty intervals (deterministic enumeration order).
-    intervals: Vec<Interval>,
-    /// Per relation: interval → candidate facts `(global id, fresh)`.
-    buckets: Vec<FxHashMap<Interval, Vec<(u32, bool)>>>,
-}
-
-impl DirtyIndex {
-    fn build(pre: &FactLists, delta: &FactLists) -> DirtyIndex {
-        let mut dirty: FxHashSet<Interval> = Default::default();
-        for facts in delta {
-            for fact in facts {
-                dirty.insert(fact.interval);
-            }
-        }
-        let mut buckets: Vec<FxHashMap<Interval, Vec<(u32, bool)>>> = Vec::with_capacity(pre.len());
-        for (p, d) in pre.iter().zip(delta.iter()) {
-            let mut by_iv: FxHashMap<Interval, Vec<(u32, bool)>> = Default::default();
-            if !dirty.is_empty() {
-                let pre_len = p.len();
-                for (i, fact) in p.iter().chain(d.iter()).enumerate() {
-                    if dirty.contains(&fact.interval) {
-                        by_iv
-                            .entry(fact.interval)
-                            .or_default()
-                            .push((i as u32, i >= pre_len));
-                    }
-                }
-            }
-            buckets.push(by_iv);
-        }
-        let mut intervals: Vec<Interval> = dirty.into_iter().collect();
-        intervals.sort_unstable();
-        DirtyIndex { intervals, buckets }
-    }
-}
-
-/// Enumerates every [`TemporalMode::Shared`] match of `plan` over
-/// `pre ++ delta` whose image touches at least one delta fact, exactly
-/// once. Shared matches bind all atoms to one interval, so only the
-/// index's dirty intervals can host one; within an interval the join
-/// backtracks over the per-atom candidate buckets, and settled-only
-/// combinations are dropped at the leaf — they were enumerated in the
-/// round or batch that last changed one of their facts. `emit` receives
-/// the variable bindings (slot order) and the shared interval.
-fn shared_join_delta(
-    plan: &JoinPlan,
-    pre: &FactLists,
-    delta: &FactLists,
-    idx: &DirtyIndex,
-    mut emit: impl FnMut(&[Value], Interval),
-) {
-    let mut bindings: Vec<Option<Value>> = vec![None; plan.vars.len()];
-    let mut out: Vec<Value> = Vec::with_capacity(plan.vars.len());
-    let mut newly: Vec<usize> = Vec::new();
-    for &iv in &idx.intervals {
-        let cands: Vec<&[(u32, bool)]> = match plan
-            .atoms
-            .iter()
-            .map(|ap| {
-                idx.buckets[ap.rel.0 as usize]
-                    .get(&iv)
-                    .map(|b| b.as_slice())
-            })
-            .collect::<Option<Vec<_>>>()
-        {
-            Some(c) => c,
-            None => continue, // some atom has no candidate at this interval
-        };
-        descend(
-            plan,
-            pre,
-            delta,
-            &cands,
-            0,
-            0,
-            &mut bindings,
-            &mut newly,
-            &mut out,
-            iv,
-            &mut emit,
-        );
-    }
-}
-
-/// Backtracking over atoms within one interval's candidate buckets.
-#[allow(clippy::too_many_arguments)]
-fn descend(
-    plan: &JoinPlan,
-    pre: &FactLists,
-    delta: &FactLists,
-    cands: &[&[(u32, bool)]],
-    ai: usize,
-    fresh: usize,
-    bindings: &mut Vec<Option<Value>>,
-    newly: &mut Vec<usize>,
-    out: &mut Vec<Value>,
-    iv: Interval,
-    emit: &mut impl FnMut(&[Value], Interval),
-) {
-    if ai == plan.atoms.len() {
-        if fresh > 0 {
-            out.clear();
-            out.extend(bindings.iter().map(|b| b.expect("all slots bound")));
-            emit(out, iv);
-        }
-        return;
-    }
-    let rel = plan.atoms[ai].rel;
-    'facts: for &(gid, is_fresh) in cands[ai].iter() {
-        let fact = fact_at(pre, delta, rel, gid);
-        let newly_from = newly.len();
-        for (col, s) in plan.atoms[ai].slots.iter().enumerate() {
-            match s {
-                SlotPlan::Const(v) => {
-                    if fact.data[col] != *v {
-                        for &u in &newly[newly_from..] {
-                            bindings[u] = None;
-                        }
-                        newly.truncate(newly_from);
-                        continue 'facts;
-                    }
-                }
-                SlotPlan::Var(slot) => match bindings[*slot] {
-                    Some(b) => {
-                        if fact.data[col] != b {
-                            for &u in &newly[newly_from..] {
-                                bindings[u] = None;
-                            }
-                            newly.truncate(newly_from);
-                            continue 'facts;
-                        }
-                    }
-                    None => {
-                        bindings[*slot] = Some(fact.data[col]);
-                        newly.push(*slot);
-                    }
-                },
-            }
-        }
-        descend(
-            plan,
-            pre,
-            delta,
-            cands,
-            ai + 1,
-            fresh + usize::from(is_fresh),
-            bindings,
-            newly,
-            out,
-            iv,
-            emit,
-        );
-        for &u in &newly[newly_from..] {
-            bindings[u] = None;
-        }
-        newly.truncate(newly_from);
-    }
-}
-
 // The restricted-chase check ([`Check`]) is the coordinator kernel of
 // `chase/cluster/coordinator.rs`: three tiers, with the memo tier
 // *persistent* across batches (see the module docs for why coverage
@@ -463,14 +242,6 @@ struct TgdPlan {
     head: Vec<(RelId, Atom)>,
 }
 
-#[derive(Clone)]
-struct EgdPlan {
-    body: JoinPlan,
-    lhs: usize,
-    rhs: usize,
-    name: String,
-}
-
 /// A stateful incremental data-exchange session (see the module docs).
 ///
 /// Created via [`IncrementalExchange::new`] or
@@ -482,7 +253,6 @@ pub struct IncrementalExchange {
     mapping: Arc<SchemaMapping>,
     opts: ChaseOptions,
     threads: usize,
-    sopts: SearchOptions,
     src_schema: Arc<Schema>,
     tgt_schema: Arc<Schema>,
 
@@ -502,6 +272,8 @@ pub struct IncrementalExchange {
 
     plans: Vec<TgdPlan>,
     egd_plans: Vec<EgdPlan>,
+    /// Egd names, in mapping order (chase-failure rendering).
+    egd_names: Vec<String>,
     /// Per-tgd persistent restricted-check memos (Memo tier).
     memos: Vec<FxHashSet<(Vec<Value>, Interval)>>,
     /// Whether any tgd needs the Probe tier (materialize-and-probe).
@@ -556,7 +328,6 @@ impl IncrementalExchange {
             ChaseEngine::Distributed { servers } => crate::chase::server_count(servers),
             _ => 0,
         };
-        let sopts = opts.search_options();
         let src_schema = Arc::new(mapping.source().clone());
         let tgt_schema = Arc::new(mapping.target().clone());
         let mut plans = Vec::new();
@@ -583,22 +354,16 @@ impl IncrementalExchange {
                 head,
             });
         }
-        let mut egd_plans = Vec::new();
-        for egd in mapping.egds() {
-            let body = JoinPlan::compile(&egd.body, &tgt_schema)?;
-            let lhs = body
-                .slot_of(egd.lhs)
-                .ok_or_else(|| TdxError::Invalid("egd lhs not in body".into()))?;
-            let rhs = body
-                .slot_of(egd.rhs)
-                .ok_or_else(|| TdxError::Invalid("egd rhs not in body".into()))?;
-            egd_plans.push(EgdPlan {
-                body,
-                lhs,
-                rhs,
-                name: egd.name.clone().unwrap_or_else(|| egd.to_string()),
-            });
-        }
+        let egd_plans = mapping
+            .egds()
+            .iter()
+            .map(|egd| EgdPlan::compile(&egd.body, egd.lhs, egd.rhs, &tgt_schema))
+            .collect::<Result<Vec<_>>>()?;
+        let egd_names = mapping
+            .egds()
+            .iter()
+            .map(|egd| egd.name.clone().unwrap_or_else(|| egd.to_string()))
+            .collect();
         let probe_needed = plans.iter().any(|p| matches!(p.check, Check::Probe));
         let memos = plans.iter().map(|_| Default::default()).collect();
         let nsrcs = src_schema.len();
@@ -607,7 +372,6 @@ impl IncrementalExchange {
             mapping: Arc::new(mapping),
             opts,
             threads,
-            sopts,
             src_schema,
             tgt_schema,
             source: vec![Vec::new(); nsrcs],
@@ -619,6 +383,7 @@ impl IncrementalExchange {
             tgt: vec![Vec::new(); ntgts],
             plans,
             egd_plans,
+            egd_names,
             memos,
             probe_needed,
             servers,
@@ -984,7 +749,6 @@ impl IncrementalExchange {
                         &self.mapping,
                         &self.tp,
                         self.servers,
-                        self.sopts,
                         spawner,
                         self.opts.frame_deadline,
                     )?,
@@ -1030,7 +794,6 @@ impl IncrementalExchange {
             &self.mapping,
             &self.tp,
             self.servers,
-            self.sopts,
             spawner,
             self.opts.frame_deadline,
             [&self.nsrc, &self.tgt],
@@ -1179,9 +942,7 @@ impl IncrementalExchange {
         let fresh_facts: usize = fresh.iter().map(Vec::len).sum();
         let (npre, ndelta) = refragment_lists(
             &self.src_schema,
-            &self.tp,
             self.threads,
-            self.sopts,
             Some(&tgd_bodies),
             self.opts.naive_normalization,
             pre,
@@ -1228,7 +989,7 @@ impl IncrementalExchange {
             None
         };
         let src_idx = if cluster_homs.is_none() {
-            Some(DirtyIndex::build(&npre, &ndelta))
+            Some(DirtyIndex::build(&npre, &ndelta, |_| true))
         } else {
             None
         };
@@ -1288,13 +1049,7 @@ impl IncrementalExchange {
                         let head_atoms: Vec<Atom> =
                             plan.head.iter().map(|(_, a)| a.clone()).collect();
                         let pi = probe_inst.as_ref().expect("probe instance materialized");
-                        if pi.exists_match_with(
-                            &head_atoms,
-                            TemporalMode::Shared,
-                            &h,
-                            Some(iv),
-                            self.sopts,
-                        )? {
+                        if pi.exists_match(&head_atoms, TemporalMode::Shared, &h, Some(iv))? {
                             continue;
                         }
                     }
@@ -1346,9 +1101,7 @@ impl IncrementalExchange {
             // paper's step 3); per-round renormalization honors the option.
             let (mut pre, mut delta) = refragment_lists(
                 &self.tgt_schema,
-                &self.tp,
                 self.threads,
-                self.sopts,
                 Some(&egd_bodies),
                 self.opts.naive_normalization,
                 pre,
@@ -1362,58 +1115,19 @@ impl IncrementalExchange {
                 )
             });
             loop {
-                let mut uf = AnnotatedUnionFind::new();
-                let mut merges = 0usize;
-                let mut conflict: Option<(String, UfKey, UfKey, Interval)> = None;
-                if self.servers > 0 {
-                    // Ship the target lists, run local egd rounds on the
-                    // servers, fold the merge ops into the global
-                    // union-find through the shared kernel (its
-                    // ChaseFailure propagates like a local conflict would).
-                    let ops = self.distributed_egd_round(&pre, &delta)?;
-                    merges += fold_merge_ops(
-                        ops.into_iter()
-                            .map(|(ei, a, b, iv)| (ei as usize, a, b, iv)),
-                        &mut uf,
-                        |ei| self.egd_plans[ei].name.clone(),
-                    )?;
+                // Both evaluation sites produce the merge ops in (egd,
+                // interval) order and fold them through the coordinator's
+                // kernel, so local and distributed rounds union alike.
+                let ops: Vec<MergeOp> = if self.servers > 0 {
+                    self.distributed_egd_round(&pre, &delta)?
                 } else {
-                    let tgt_idx = DirtyIndex::build(&pre, &delta);
-                    for ep in &self.egd_plans {
-                        if conflict.is_some() {
-                            break;
-                        }
-                        shared_join_delta(&ep.body, &pre, &delta, &tgt_idx, |vals, iv| {
-                            if conflict.is_some() {
-                                return;
-                            }
-                            let (a, b) = (vals[ep.lhs], vals[ep.rhs]);
-                            if a == b {
-                                return;
-                            }
-                            let key = |v: Value| match v {
-                                Value::Const(c) => UfKey::Const(c),
-                                Value::Null(n) => UfKey::Null(n, iv),
-                            };
-                            match uf.union(key(a), key(b)) {
-                                Ok(()) => merges += 1,
-                                Err((c1, c2)) => conflict = Some((ep.name.clone(), c1, c2, iv)),
-                            }
-                        });
-                    }
-                }
-                if let Some((name, c1, c2, iv)) = conflict {
-                    let render = |k: UfKey| match k {
-                        UfKey::Const(c) => c.to_string(),
-                        UfKey::Null(n, _) => n.to_string(),
-                    };
-                    return Err(TdxError::ChaseFailure {
-                        dependency: name,
-                        left: render(c1),
-                        right: render(c2),
-                        interval: Some(iv),
-                    });
-                }
+                    let idx = DirtyIndex::build(&pre, &delta, |_| true);
+                    let mut ops = Vec::new();
+                    egd_ops(&self.egd_plans, &pre, &delta, &idx, |op| ops.push(op));
+                    ops
+                };
+                let mut uf = AnnotatedUnionFind::new();
+                let merges = fold_merge_ops(ops, &mut uf, |ei| self.egd_names[ei].clone())?;
                 if merges == 0 {
                     break;
                 }
@@ -1430,9 +1144,7 @@ impl IncrementalExchange {
                 };
                 (pre, delta) = refragment_lists(
                     &self.tgt_schema,
-                    &self.tp,
                     self.threads,
-                    self.sopts,
                     renorm,
                     self.opts.naive_normalization,
                     npre,

@@ -1,5 +1,4 @@
-//! The partitioned fact-list kernel of the c-chase
-//! (`ChaseEngine::PartitionedParallel`).
+//! The fact-list kernels of the c-chase.
 //!
 //! The paper's c-chase (Section 4.3) is defined fact-at-a-time, but its
 //! normalization step makes the target fragment along interval breakpoints
@@ -11,33 +10,40 @@
 //! [`FactLists`] split into a settled `pre` block and a changed `delta`
 //! block, and this module holds the list-level kernels it runs on:
 //!
+//! * **the dirty-interval shared join** ([`shared_join_delta`] over a
+//!   [`DirtyIndex`], with [`egd_ops`] on top): every tgd and egd body
+//!   match that touches the delta block. A c-chase step maps the shared
+//!   temporal variable `t` of `φ⁺(x̄, t)` to *one* interval, so every match
+//!   lives at a single interval — one some delta fact carries. The session
+//!   joins over all dirty intervals; a partition server runs the same join
+//!   over its retained image, restricted to the dirty intervals whose start
+//!   partition it owns, which splits the work exactly;
 //! * **Algorithm-1 re-fragmentation** ([`refragment_lists`]): overlap
 //!   images are discovered only where they touch a *fresh* fact — a sweep
-//!   join per 2-atom conjunction, the generic matcher over a replicated
-//!   [`ShardedFactStore`] for wider ones — merged into groups
+//!   join per 2-atom conjunction, the pivot-bounded generic matcher over
+//!   one flat instance for wider ones — merged into groups
 //!   ([`merge_image_sets`]), and every member cut at its group's interior
 //!   breakpoints, plus the shared-null-base alignment cuts, to a fixpoint;
 //! * **egd rewriting** ([`rewrite_values`]): one round's union-find
 //!   applied to every fact, split back into unchanged and changed blocks
 //!   so the next round joins only against the delta;
-//! * **worker fan-out** ([`run_tasks`]): per-conjunction and
-//!   per-partition tasks on scoped threads, merged in task order, so the
-//!   result is byte-identical across thread counts.
+//! * **worker fan-out** ([`run_tasks`]): per-conjunction discovery tasks
+//!   on scoped threads, merged in task order, so the result is
+//!   byte-identical across thread counts.
 //!
 //! The equivalence argument is spelled out in `docs/parallelism.md`;
 //! `tests/equivalence.rs` checks the engine against the `LegacyScan`
 //! oracle.
 
+use crate::chase::cluster::protocol::MergeOp;
 use crate::chase::concrete::AnnotatedUnionFind;
-use crate::error::Result;
+use crate::error::{Result, TdxError};
 use crate::normalize::{merge_image_sets, uf_find, FactRef};
 use std::sync::Arc;
-use tdx_logic::{Atom, RelId, Schema, Var};
+use tdx_logic::{Atom, RelId, Schema, Term, Var};
 use tdx_storage::fxhash::{FxHashMap, FxHashSet};
-use tdx_storage::{
-    PartScope, Row, SearchOptions, ShardedFactStore, TemporalFact, TemporalMode, Value,
-};
-use tdx_temporal::{fragment_interval, Breakpoints, Interval, TimePoint, TimelinePartition};
+use tdx_storage::{Row, SearchOptions, TemporalFact, TemporalInstance, TemporalMode, Value};
+use tdx_temporal::{fragment_interval, Breakpoints, Interval, TimePoint};
 
 /// Per-relation fact lists: the working representation between rounds.
 /// `pre` holds facts unchanged since the last round, `delta` the changed
@@ -83,6 +89,279 @@ fn run_tasks<R: Send>(threads: usize, n: usize, f: impl Fn(usize) -> R + Sync) -
     out.into_iter().map(|(_, r)| r).collect()
 }
 
+/// One body atom compiled for the shared-interval join: relation plus a
+/// slot per column (a constant to filter on, or a variable slot index).
+#[derive(Clone)]
+struct AtomPlan {
+    rel: RelId,
+    slots: Vec<SlotPlan>,
+}
+
+#[derive(Clone)]
+enum SlotPlan {
+    Const(Value),
+    Var(usize),
+}
+
+/// A conjunction compiled for dirty-interval shared joins.
+#[derive(Clone)]
+pub(crate) struct JoinPlan {
+    atoms: Vec<AtomPlan>,
+    /// Slot index → variable, in first-occurrence order.
+    pub(crate) vars: Vec<Var>,
+}
+
+impl JoinPlan {
+    pub(crate) fn compile(atoms: &[Atom], schema: &Schema) -> Result<JoinPlan> {
+        let mut vars: Vec<Var> = Vec::new();
+        let mut plans = Vec::with_capacity(atoms.len());
+        for atom in atoms {
+            let rel = schema
+                .rel_id(atom.relation)
+                .ok_or_else(|| TdxError::Invalid(format!("unknown relation {}", atom.relation)))?;
+            if schema.relation(rel).arity() != atom.arity() {
+                return Err(TdxError::Invalid(format!(
+                    "atom {} does not match relation arity",
+                    atom.relation
+                )));
+            }
+            let slots = atom
+                .terms
+                .iter()
+                .map(|t| match t {
+                    Term::Const(c) => SlotPlan::Const(Value::Const(*c)),
+                    Term::Var(v) => match vars.iter().position(|w| w == v) {
+                        Some(i) => SlotPlan::Var(i),
+                        None => {
+                            vars.push(*v);
+                            SlotPlan::Var(vars.len() - 1)
+                        }
+                    },
+                })
+                .collect();
+            plans.push(AtomPlan { rel, slots });
+        }
+        Ok(JoinPlan { atoms: plans, vars })
+    }
+
+    fn slot_of(&self, v: Var) -> Option<usize> {
+        self.vars.iter().position(|w| *w == v)
+    }
+}
+
+/// An egd body compiled for the shared join, with the slots of the two
+/// variables it equates.
+#[derive(Clone)]
+pub(crate) struct EgdPlan {
+    body: JoinPlan,
+    lhs: usize,
+    rhs: usize,
+}
+
+impl EgdPlan {
+    pub(crate) fn compile(body: &[Atom], lhs: Var, rhs: Var, schema: &Schema) -> Result<EgdPlan> {
+        let body = JoinPlan::compile(body, schema)?;
+        let slot = |v: Var, side: &str| {
+            body.slot_of(v)
+                .ok_or_else(|| TdxError::Invalid(format!("egd {side} not in body")))
+        };
+        Ok(EgdPlan {
+            lhs: slot(lhs, "lhs")?,
+            rhs: slot(rhs, "rhs")?,
+            body,
+        })
+    }
+}
+
+/// A per-phase candidate index for dirty-interval shared joins: for every
+/// relation, the facts living at a *dirty interval* (an interval some delta
+/// fact carries, in any relation), bucketed by interval and tagged fresh
+/// when drawn from the delta block. Built once per phase with a single
+/// scan per relation and shared by every join of that phase.
+pub(crate) struct DirtyIndex {
+    /// Sorted dirty intervals (deterministic enumeration order).
+    intervals: Vec<Interval>,
+    /// Per relation: interval → candidate facts `(global id, fresh)`.
+    buckets: Vec<FxHashMap<Interval, Vec<(u32, bool)>>>,
+}
+
+impl DirtyIndex {
+    /// Indexes the dirty intervals `keep` admits: all of them for a
+    /// session, the ones whose start partition it owns for a partition
+    /// server.
+    pub(crate) fn build<L: AsRef<[TemporalFact]>>(
+        pre: &[L],
+        delta: &[L],
+        keep: impl Fn(&Interval) -> bool,
+    ) -> DirtyIndex {
+        let mut dirty: FxHashSet<Interval> = Default::default();
+        for facts in delta {
+            for fact in facts.as_ref() {
+                if keep(&fact.interval) {
+                    dirty.insert(fact.interval);
+                }
+            }
+        }
+        let mut buckets: Vec<FxHashMap<Interval, Vec<(u32, bool)>>> = Vec::with_capacity(pre.len());
+        for (p, d) in pre.iter().zip(delta.iter()) {
+            let (p, d) = (p.as_ref(), d.as_ref());
+            let mut by_iv: FxHashMap<Interval, Vec<(u32, bool)>> = Default::default();
+            if !dirty.is_empty() {
+                for (i, fact) in p.iter().chain(d.iter()).enumerate() {
+                    if dirty.contains(&fact.interval) {
+                        by_iv
+                            .entry(fact.interval)
+                            .or_default()
+                            .push((i as u32, i >= p.len()));
+                    }
+                }
+            }
+            buckets.push(by_iv);
+        }
+        let mut intervals: Vec<Interval> = dirty.into_iter().collect();
+        intervals.sort_unstable();
+        DirtyIndex { intervals, buckets }
+    }
+}
+
+/// The one chase join: enumerates every [`TemporalMode::Shared`] match of
+/// `plan` over `pre ++ delta` whose image touches at least one delta fact,
+/// exactly once, at the index's dirty intervals in ascending order. Shared
+/// matches bind all atoms to one interval, so only a dirty interval can
+/// host one; within an interval the join backtracks over the per-atom
+/// candidate buckets, and settled-only combinations are dropped at the
+/// leaf — they were enumerated in the round or batch that last changed one
+/// of their facts. `emit` receives the variable bindings (slot order) and
+/// the shared interval.
+pub(crate) fn shared_join_delta<L: AsRef<[TemporalFact]>>(
+    plan: &JoinPlan,
+    pre: &[L],
+    delta: &[L],
+    idx: &DirtyIndex,
+    mut emit: impl FnMut(&[Value], Interval),
+) {
+    let mut bindings: Vec<Option<Value>> = vec![None; plan.vars.len()];
+    let mut out: Vec<Value> = Vec::with_capacity(plan.vars.len());
+    let mut newly: Vec<usize> = Vec::new();
+    for &iv in &idx.intervals {
+        let cands: Vec<&[(u32, bool)]> = match plan
+            .atoms
+            .iter()
+            .map(|ap| {
+                idx.buckets[ap.rel.0 as usize]
+                    .get(&iv)
+                    .map(|b| b.as_slice())
+            })
+            .collect::<Option<Vec<_>>>()
+        {
+            Some(c) => c,
+            None => continue, // some atom has no candidate at this interval
+        };
+        descend(
+            plan,
+            pre,
+            delta,
+            &cands,
+            0,
+            0,
+            &mut bindings,
+            &mut newly,
+            &mut out,
+            iv,
+            &mut emit,
+        );
+    }
+}
+
+/// Backtracking over atoms within one interval's candidate buckets.
+#[allow(clippy::too_many_arguments)]
+fn descend<L: AsRef<[TemporalFact]>>(
+    plan: &JoinPlan,
+    pre: &[L],
+    delta: &[L],
+    cands: &[&[(u32, bool)]],
+    ai: usize,
+    fresh: usize,
+    bindings: &mut Vec<Option<Value>>,
+    newly: &mut Vec<usize>,
+    out: &mut Vec<Value>,
+    iv: Interval,
+    emit: &mut impl FnMut(&[Value], Interval),
+) {
+    if ai == plan.atoms.len() {
+        if fresh > 0 {
+            out.clear();
+            out.extend(bindings.iter().map(|b| b.expect("all slots bound")));
+            emit(out, iv);
+        }
+        return;
+    }
+    let rel = plan.atoms[ai].rel;
+    'facts: for &(gid, is_fresh) in cands[ai].iter() {
+        let fact = fact_at(pre, delta, rel, gid);
+        let newly_from = newly.len();
+        for (col, s) in plan.atoms[ai].slots.iter().enumerate() {
+            let ok = match s {
+                SlotPlan::Const(v) => fact.data[col] == *v,
+                SlotPlan::Var(slot) => match bindings[*slot] {
+                    Some(b) => fact.data[col] == b,
+                    None => {
+                        bindings[*slot] = Some(fact.data[col]);
+                        newly.push(*slot);
+                        true
+                    }
+                },
+            };
+            if !ok {
+                for &u in &newly[newly_from..] {
+                    bindings[u] = None;
+                }
+                newly.truncate(newly_from);
+                continue 'facts;
+            }
+        }
+        descend(
+            plan,
+            pre,
+            delta,
+            cands,
+            ai + 1,
+            fresh + usize::from(is_fresh),
+            bindings,
+            newly,
+            out,
+            iv,
+            emit,
+        );
+        for &u in &newly[newly_from..] {
+            bindings[u] = None;
+        }
+        newly.truncate(newly_from);
+    }
+}
+
+/// The egd half of the kernel: for each egd in order, every delta-touching
+/// body match (at the index's dirty intervals, ascending) that equates two
+/// distinct values, as a `(egd index, lhs, rhs, interval)` merge op. The
+/// session folds this sequence as is; the coordinator restores the same
+/// (egd, interval) order across partitions before it folds.
+pub(crate) fn egd_ops<L: AsRef<[TemporalFact]>>(
+    egds: &[EgdPlan],
+    pre: &[L],
+    delta: &[L],
+    idx: &DirtyIndex,
+    mut emit: impl FnMut(MergeOp),
+) {
+    for (ei, ep) in egds.iter().enumerate() {
+        shared_join_delta(&ep.body, pre, delta, idx, |vals, iv| {
+            let (a, b) = (vals[ep.lhs], vals[ep.rhs]);
+            if a != b {
+                emit((ei as u32, a, b, iv));
+            }
+        });
+    }
+}
+
 /// A 2-atom conjunction compiled for the sweep join: per-atom constant and
 /// intra-atom-equality filters, plus the cross-atom join columns.
 struct PairSpec {
@@ -110,8 +389,8 @@ impl PairSpec {
             }
             for (col, term) in atom.terms.iter().enumerate() {
                 match term {
-                    tdx_logic::Term::Const(c) => consts[ai].push((col, Value::Const(*c))),
-                    tdx_logic::Term::Var(v) => match first_of.iter().find(|(w, _, _)| w == v) {
+                    Term::Const(c) => consts[ai].push((col, Value::Const(*c))),
+                    Term::Var(v) => match first_of.iter().find(|(w, _, _)| w == v) {
                         None => first_of.push((*v, ai, col)),
                         Some(&(_, fa, fc)) => {
                             if fa == ai {
@@ -150,15 +429,15 @@ fn unpack_ref(k: u64) -> FactRef {
 /// intervals overlap (for two atoms, pairwise overlap *is* the non-empty
 /// common intersection of `TemporalMode::FreeOverlapping`). Diagonal pairs
 /// (both atoms on one fact) are singleton images and contribute nothing to
-/// Algorithm 1's groups, so they are skipped. With `fresh` set, only pairs
-/// touching a fresh (just-changed) fact are emitted — the semi-naive
-/// restriction of incremental renormalization: a pair of settled facts was
-/// already discovered, and aligned, in the round that last changed one of
-/// them.
+/// Algorithm 1's groups, so they are skipped. Only pairs touching a fresh
+/// (just-changed) fact — global id at or past `fresh_start` of its
+/// relation — are emitted: the semi-naive restriction of incremental
+/// renormalization, since a pair of settled facts was already discovered,
+/// and aligned, in the round that last changed one of them.
 fn sweep_lists(
     pre: &FactLists,
     delta: &FactLists,
-    fresh: Option<&[Vec<bool>]>,
+    fresh_start: &[usize],
     spec: &PairSpec,
     mut emit: impl FnMut(FactRef, FactRef),
 ) {
@@ -183,40 +462,32 @@ fn sweep_lists(
                 .iter()
                 .any(|&(c1, c2)| fact.data[c1] != fact.data[c2])
     };
-    // Restricted (semi-naive) runs: only join keys carried by some fresh
-    // fact can contribute a new pair, so collect the fresh keys per side
-    // first and skip every settled fact whose key matches neither — the
-    // scan over settled facts then costs one cheap hash each instead of
-    // bucket insertions.
-    let restricted = fresh.is_some();
+    // Only join keys carried by some fresh fact can contribute a new pair,
+    // so collect the fresh keys per side first and skip every settled fact
+    // whose key matches neither — the scan over settled facts then costs
+    // one cheap hash each instead of bucket insertions.
     let mut fresh_keys: [FxHashSet<u64>; 2] = [Default::default(), Default::default()];
-    if let Some(flags) = fresh {
-        for (ai, keys) in fresh_keys.iter_mut().enumerate() {
-            let r = spec.rels[ai].0 as usize;
-            for (i, fact) in delta[r].iter().enumerate() {
-                if flags[r][i] && passes(fact, ai) {
-                    keys.insert(key_hash(fact, ai));
-                }
+    for (ai, keys) in fresh_keys.iter_mut().enumerate() {
+        let r = spec.rels[ai].0 as usize;
+        for fact in &delta[r][fresh_start[r] - pre[r].len()..] {
+            if passes(fact, ai) {
+                keys.insert(key_hash(fact, ai));
             }
         }
-        if fresh_keys[0].is_empty() && fresh_keys[1].is_empty() {
-            return; // nothing fresh joins this conjunction
-        }
+    }
+    if fresh_keys[0].is_empty() && fresh_keys[1].is_empty() {
+        return; // nothing fresh joins this conjunction
     }
     let mut buckets: FxHashMap<u64, [Vec<Entry>; 2]> = FxHashMap::default();
     for ai in 0..2 {
         let r = spec.rels[ai].0 as usize;
-        let pre_len = pre[r].len();
         for (gid, fact) in pre[r].iter().chain(delta[r].iter()).enumerate() {
             if !passes(fact, ai) {
                 continue;
             }
-            let is_fresh = match fresh {
-                None => true,
-                Some(flags) => gid >= pre_len && flags[r][gid - pre_len],
-            };
+            let is_fresh = gid >= fresh_start[r];
             let key = key_hash(fact, ai);
-            if restricted && !is_fresh && !fresh_keys[1 - ai].contains(&key) {
+            if !is_fresh && !fresh_keys[1 - ai].contains(&key) {
                 continue; // cannot pair with any fresh fact
             }
             buckets.entry(key).or_default()[ai].push((fact.interval, gid as u32, is_fresh));
@@ -234,7 +505,7 @@ fn sweep_lists(
                 if tdx_temporal::Endpoint::Fin(biv.start()) >= aiv.end() {
                     break; // b and everything after starts at/after a ends
                 }
-                if (restricted && !(afresh || bfresh)) || !aiv.overlaps(&biv) {
+                if !(afresh || bfresh) || !aiv.overlaps(&biv) {
                     continue;
                 }
                 if ra == rb && agid == bgid {
@@ -259,51 +530,50 @@ fn sweep_lists(
 }
 
 /// The fact with global id `gid` inside the `pre ++ delta` lists.
-pub(crate) fn fact_at<'a>(
-    pre: &'a FactLists,
-    delta: &'a FactLists,
+pub(crate) fn fact_at<'a, L: AsRef<[TemporalFact]>>(
+    pre: &'a [L],
+    delta: &'a [L],
     rel: RelId,
     gid: u32,
 ) -> &'a TemporalFact {
-    let r = rel.0 as usize;
+    let (pre, delta) = (pre[rel.0 as usize].as_ref(), delta[rel.0 as usize].as_ref());
     let g = gid as usize;
-    if g < pre[r].len() {
-        &pre[r][g]
+    if g < pre.len() {
+        &pre[g]
     } else {
-        &delta[r][g - pre[r].len()]
+        &delta[g - pre.len()]
     }
 }
 
-/// Image discovery for Algorithm 1 over the working fact lists.
+/// Image discovery for Algorithm 1 over the working fact lists,
+/// restricted to images touching a fresh fact (global id at or past
+/// `fresh_start` of its relation).
 ///
 /// Single-atom conjunctions are skipped outright: their images are
 /// singletons, which never add members to a merged group and never cut (a
 /// fact is aligned with itself), so they cannot change the output. 2-atom
 /// conjunctions — every dependency body in the scenario suite — go through
 /// the [`sweep_lists`] overlap join, one parallel task per conjunction, with
-/// no store build at all. Wider conjunctions fall back to the generic
-/// backtracking matcher over a replicated [`ShardedFactStore`]: each image's
-/// common intersection meets some partition's range, replicas make all of
-/// its facts visible there, and the at-least-one-owner pivot decomposition
-/// keeps long-lived facts from being re-enumerated in every partition they
-/// span.
-#[allow(clippy::too_many_arguments)]
+/// no store build at all. Wider conjunctions run the generic backtracking
+/// matcher over one flat instance of `pre ++ delta`, one task per
+/// (conjunction, pivot atom): the pivot ranges over the fresh facts, the
+/// atoms before it over the settled ones and the atoms after it over
+/// everything, so each image with a fresh member is found under exactly
+/// one pivot — its first fresh atom. The fresh facts of a relation are
+/// always a contiguous suffix of its delta block ([`apply_cuts`] appends
+/// them last), so each bound is one id range.
 fn discover_images(
     schema: &Arc<Schema>,
-    tp: &TimelinePartition,
     pre: &FactLists,
     delta: &FactLists,
-    fresh: Option<&[Vec<bool>]>,
+    fresh_start: &[usize],
     conjs: &[&[Atom]],
     threads: usize,
-    sopts: SearchOptions,
 ) -> Result<Vec<Vec<FactRef>>> {
     // Images are deduplicated as packed `(rel << 32 | gid)` keys — a pair
     // for the ubiquitous 2-atom bodies, a heap key above — so duplicate
     // enumerations (symmetric self-joins) cost a hash probe, not an
     // allocation.
-    let pack = pack_ref;
-    let unpack = unpack_ref;
     let mut specs: Vec<PairSpec> = Vec::new();
     let mut generic: Vec<&[Atom]> = Vec::new();
     for &atoms in conjs {
@@ -323,8 +593,8 @@ fn discover_images(
     let swept: Vec<(u64, u64)> = run_tasks(threads, specs.len(), |i| {
         let mut pairs: FxHashSet<(u64, u64)> = Default::default();
         let mut out: Vec<(u64, u64)> = Vec::new();
-        sweep_lists(pre, delta, fresh, &specs[i], |a, b| {
-            let (ka, kb) = (pack(a), pack(b));
+        sweep_lists(pre, delta, fresh_start, &specs[i], |a, b| {
+            let (ka, kb) = (pack_ref(a), pack_ref(b));
             let key = if ka <= kb { (ka, kb) } else { (kb, ka) };
             if pairs.insert(key) {
                 out.push(key);
@@ -337,50 +607,50 @@ fn discover_images(
     .collect();
     let mut from_matcher: Vec<Result<Vec<Vec<u64>>>> = Vec::new();
     if !generic.is_empty() {
-        let sharded = build_sharded(schema, tp, pre, delta, true);
-        // Partitions worth scanning: all of them on a full pass, else the
-        // ones some fresh fact overlaps (an image with a fresh member is
-        // visible wherever its common intersection lands — inside the
-        // fresh fact's span).
-        let dirty: Vec<usize> = match fresh {
-            None => (0..tp.len()).collect(),
-            Some(flags) => {
-                let mut mark = vec![false; tp.len()];
-                for (r, rel_flags) in flags.iter().enumerate() {
-                    for (i, is_fresh) in rel_flags.iter().enumerate() {
-                        if *is_fresh {
-                            let iv = &delta[r][i].interval;
-                            let (lo, hi) = tp.parts_overlapping(iv);
-                            for d in mark.iter_mut().take(hi + 1).skip(lo) {
-                                *d = true;
-                            }
-                        }
-                    }
-                }
-                (0..tp.len()).filter(|&p| mark[p]).collect()
+        // Inserted in `pre ++ delta` order, so a fact's id in the flat
+        // instance is its global id.
+        let mut flat = TemporalInstance::new(Arc::clone(schema));
+        for (r, (p, d)) in pre.iter().zip(delta).enumerate() {
+            for fact in p.iter().chain(d) {
+                let inserted = flat.insert(RelId(r as u32), Arc::clone(&fact.data), fact.interval);
+                assert!(inserted, "working fact lists hold a duplicate fact");
             }
-        };
-        let ntasks = dirty.len() * generic.len();
-        from_matcher = run_tasks(threads, ntasks, |t| -> Result<Vec<Vec<u64>>> {
-            let view = sharded.part(dirty[t / generic.len()]);
-            let atoms = generic[t % generic.len()];
+        }
+        let tasks: Vec<(&[Atom], usize)> = generic
+            .iter()
+            .flat_map(|&atoms| (0..atoms.len()).map(move |pivot| (atoms, pivot)))
+            .collect();
+        from_matcher = run_tasks(threads, tasks.len(), |t| -> Result<Vec<Vec<u64>>> {
+            let (atoms, pivot) = tasks[t];
+            let bounds: Vec<(u32, u32)> = atoms
+                .iter()
+                .enumerate()
+                .map(|(j, atom)| {
+                    // An unknown relation keeps the full range; the matcher
+                    // reports it.
+                    let fresh = schema
+                        .rel_id(atom.relation)
+                        .map_or(0, |rel| fresh_start[rel.0 as usize] as u32);
+                    match j.cmp(&pivot) {
+                        std::cmp::Ordering::Less => (0, fresh),
+                        std::cmp::Ordering::Equal => (fresh, u32::MAX),
+                        std::cmp::Ordering::Greater => (0, u32::MAX),
+                    }
+                })
+                .collect();
             let mut seen: FxHashSet<Vec<u64>> = Default::default();
             let mut out = Vec::new();
             let mut key: Vec<u64> = Vec::with_capacity(atoms.len());
-            view.find_matches(
+            flat.find_matches_bounded(
                 atoms,
                 TemporalMode::FreeOverlapping,
                 &[],
                 None,
-                sopts,
-                PartScope::OwnerTouch,
-                &mut |m| {
+                SearchOptions::default(),
+                &bounds,
+                |m| {
                     key.clear();
-                    key.extend(
-                        m.atom_rows()
-                            .iter()
-                            .map(|&(rel, local)| pack((rel, view.global_row(rel, local)))),
-                    );
+                    key.extend(m.atom_rows().iter().map(|&r| pack_ref(r)));
                     key.sort_unstable();
                     key.dedup();
                     if key.len() >= 2 && seen.insert(key.clone()) {
@@ -402,25 +672,10 @@ fn discover_images(
             .flatten(),
     ) {
         if seen.insert(image.clone()) {
-            out.push(image.iter().map(|&k| unpack(k)).collect());
+            out.push(image.iter().map(|&k| unpack_ref(k)).collect());
         }
     }
     Ok(out)
-}
-
-fn build_sharded(
-    schema: &Arc<Schema>,
-    tp: &TimelinePartition,
-    pre: &FactLists,
-    delta: &FactLists,
-    replicate: bool,
-) -> ShardedFactStore {
-    ShardedFactStore::build_with_delta(Arc::clone(schema), tp.clone(), 1, replicate, |rel| {
-        (
-            pre[rel.0 as usize].as_slice(),
-            delta[rel.0 as usize].as_slice(),
-        )
-    })
 }
 
 /// Adds the shared-null-base alignment cuts (see `align_shared_nulls` in the
@@ -526,14 +781,17 @@ fn image_cuts(images: &[Vec<FactRef>], pre: &FactLists, delta: &FactLists, cuts:
 
 /// Applies one iteration's cuts: cut facts dissolve into their fragments,
 /// fragments join the delta block (they are "changed" for the next round's
-/// matching) and become the next iteration's fresh set. Returns the new
-/// `(pre, delta, fresh)`.
+/// matching) and become the next iteration's fresh set. Fragments are
+/// appended after every uncut fact, so the fresh set is a suffix of each
+/// relation's delta block. Returns the new `(pre, delta, fresh_start)`,
+/// where `fresh_start[r]` is the global id of relation `r`'s first fresh
+/// fact.
 fn apply_cuts(
     nrels: usize,
     cuts: &CutMap,
     mut pre: FactLists,
     mut delta: FactLists,
-) -> (FactLists, FactLists, Vec<Vec<bool>>) {
+) -> (FactLists, FactLists, Vec<usize>) {
     // Relations without cuts move over wholesale; within a cut relation,
     // only facts sharing a row with some cut fact can ever collide with a
     // fragment, so the dedup set tracks exactly those — the rest of the
@@ -553,14 +811,14 @@ fn apply_cuts(
     }
     let mut npre: FactLists = vec![Vec::new(); nrels];
     let mut ndelta: FactLists = vec![Vec::new(); nrels];
-    let mut nfresh: Vec<Vec<bool>> = vec![Vec::new(); nrels];
+    let mut fresh_start: Vec<usize> = vec![0; nrels];
     for r in 0..nrels {
         let rel = RelId(r as u32);
         let pre_len = pre[r].len();
         let Some(rows) = &cut_rows[r] else {
             npre[r] = std::mem::take(&mut pre[r]);
             ndelta[r] = std::mem::take(&mut delta[r]);
-            nfresh[r] = vec![false; ndelta[r].len()];
+            fresh_start[r] = npre[r].len() + ndelta[r].len();
             continue;
         };
         let mut kept: FxHashSet<(Row, Interval)> = Default::default();
@@ -579,9 +837,9 @@ fn apply_cuts(
                 npre[r].push(fact.clone());
             } else {
                 ndelta[r].push(fact.clone());
-                nfresh[r].push(false);
             }
         }
+        fresh_start[r] = npre[r].len() + ndelta[r].len();
         for (gid, fact) in pre[r].iter().chain(delta[r].iter()).enumerate() {
             if let Some(pts) = cuts.get(&(rel, gid as u32)) {
                 let bps = Breakpoints::from_points(pts.iter().copied());
@@ -591,13 +849,12 @@ fn apply_cuts(
                             data: Arc::clone(&fact.data),
                             interval: iv,
                         });
-                        nfresh[r].push(true);
                     }
                 }
             }
         }
     }
-    (npre, ndelta, nfresh)
+    (npre, ndelta, fresh_start)
 }
 
 /// Re-fragments the working fact lists to a fixpoint. Per iteration it
@@ -607,35 +864,23 @@ fn apply_cuts(
 /// them; and stops once no cut remains. Fragments join the delta block
 /// (they are "changed" for the next round's matching) and are the next
 /// iteration's fresh set. `None` bodies run the alignment cuts only.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn refragment_lists(
     schema: &Arc<Schema>,
-    tp: &TimelinePartition,
     threads: usize,
-    sopts: SearchOptions,
     renorm_bodies: Option<&[&[Atom]]>,
     naive: bool,
     mut pre: FactLists,
     mut delta: FactLists,
 ) -> Result<(FactLists, FactLists)> {
     let nrels = schema.len();
-    let mut fresh: Vec<Vec<bool>> = delta.iter().map(|d| vec![true; d.len()]).collect();
+    let mut fresh_start: Vec<usize> = pre.iter().map(Vec::len).collect();
     loop {
         let mut cuts = CutMap::default();
         if naive && renorm_bodies.is_some() {
             naive_cuts(&pre, &delta, &mut cuts);
         } else if let Some(conjs) = renorm_bodies {
             if !conjs.is_empty() {
-                let images = discover_images(
-                    schema,
-                    tp,
-                    &pre,
-                    &delta,
-                    Some(&fresh),
-                    conjs,
-                    threads,
-                    sopts,
-                )?;
+                let images = discover_images(schema, &pre, &delta, &fresh_start, conjs, threads)?;
                 image_cuts(&images, &pre, &delta, &mut cuts);
             }
         }
@@ -643,7 +888,7 @@ pub(crate) fn refragment_lists(
         if cuts.is_empty() {
             return Ok((pre, delta));
         }
-        (pre, delta, fresh) = apply_cuts(nrels, &cuts, pre, delta);
+        (pre, delta, fresh_start) = apply_cuts(nrels, &cuts, pre, delta);
     }
 }
 
@@ -700,7 +945,6 @@ mod tests {
     use crate::hom::hom_equivalent;
     use crate::semantics::semantics;
     use tdx_logic::{parse_egd, parse_schema, parse_tgd, SchemaMapping};
-    use tdx_storage::TemporalInstance;
 
     fn iv(s: u64, e: u64) -> Interval {
         Interval::new(s, e)

@@ -63,12 +63,11 @@
 //! |-------|------|
 //! | `tdx_temporal::index` | interval-endpoint index: overlap/exact probes, endpoints |
 //! | `tdx_temporal::partition` | breakpoints, coarse timeline partitions |
-//! | `tdx_storage::fact_store` | indexed fact storage + generation/delta log |
-//! | `tdx_storage::sharded` | timeline-partitioned shards, owner/delta/replica scopes |
+//! | `tdx_storage::fact_store` | indexed fact storage + generation watermarks |
 //! | `tdx_storage::matcher` | join engine: index candidates, per-atom id windows |
 //! | [`chase::concrete`] | c-chase entry points and the `LegacyScan` oracle |
 //! | [`chase::incremental`] | the session engine: delta-scoped tgd/egd phases |
-//! | `chase::partitioned` | fact-list kernels (sweep discovery, rewriting, worker fan-out) |
+//! | `chase::partitioned` | fact-list kernels (dirty-interval join, sweep and pivot-bounded discovery, rewriting) |
 //! | [`chase::cluster`] | partition-server protocol, transports, coordinator kernel |
 //! | [`normalize`], [`query`] | overlap-index group discovery, engine-threaded eval |
 //!

@@ -13,9 +13,9 @@
 //!   probes (the shared chase variable `t`), *overlap* probes (Algorithm 1's
 //!   candidate-set condition) and incremental endpoint enumeration;
 //! * a **generation log**: [`FactStore::mark`] seals the current contents
-//!   and returns a [`Generation`] token; `delta_start`/`facts_since` then
-//!   answer "which facts were added since?" — the primitive the semi-naive
-//!   chase is built on.
+//!   and returns a [`Generation`] token; `delta_start` then answers "where
+//!   do the facts added since begin?" — the watermark
+//!   [`StoreSnapshot`](crate::snapshot::StoreSnapshot) reads through.
 //!
 //! Insertion ids are stable and monotone, so a generation is just a
 //! per-relation watermark and a delta is a contiguous id range.
@@ -193,20 +193,6 @@ impl FactStore {
         self.marks[gen.0 as usize][rel.0 as usize]
     }
 
-    /// The facts of `rel` added since `gen` was sealed.
-    pub fn facts_since(&self, rel: RelId, gen: Generation) -> &[TemporalFact] {
-        let start = self.delta_start(rel, gen) as usize;
-        &self.rels[rel.0 as usize].facts[start..]
-    }
-
-    /// Whether any relation gained facts since `gen` was sealed.
-    pub fn has_delta_since(&self, gen: Generation) -> bool {
-        (0..self.rels.len()).any(|i| {
-            let rel = RelId(i as u32);
-            self.delta_start(rel, gen) < self.len(rel) as u32
-        })
-    }
-
     // ---- value-index probes ------------------------------------------
 
     /// Number of facts with value `v` in column `col`.
@@ -345,20 +331,18 @@ mod tests {
         let mut s = store();
         s.insert_values("E", [Value::str("Ada"), Value::str("IBM")], iv(0, 5));
         let g0 = s.mark();
-        assert!(!s.has_delta_since(g0));
+        let e = RelId(0);
+        assert_eq!(s.delta_start(e, g0) as usize, s.len(e));
         s.insert_values("E", [Value::str("Bob"), Value::str("IBM")], iv(1, 6));
         s.insert_values("S", [Value::str("Bob"), Value::str("13k")], iv(1, 6));
-        assert!(s.has_delta_since(g0));
-        let e = RelId(0);
         assert_eq!(s.delta_start(e, g0), 1);
-        let delta: Vec<String> = s
-            .facts_since(e, g0)
+        let delta: Vec<String> = s.facts(e)[s.delta_start(e, g0) as usize..]
             .iter()
             .map(|f| f.data[0].to_string())
             .collect();
         assert_eq!(delta, vec!["Bob"]);
         let g1 = s.mark();
-        assert!(!s.has_delta_since(g1));
+        assert_eq!(s.delta_start(RelId(1), g1) as usize, s.len(RelId(1)));
         // Earlier marks keep their watermarks.
         assert_eq!(s.delta_start(e, g0), 1);
         assert_eq!(s.delta_start(e, g1), 2);
@@ -391,9 +375,8 @@ mod tests {
         let g = s.mark();
         s.insert_values("E", [Value::str("Bob"), Value::str("IBM")], iv(1, 6));
         let c = s.clone();
-        assert!(c.has_delta_since(g));
         assert_eq!(c.delta_start(RelId(0), g), 1);
-        assert_eq!(c.facts_since(RelId(0), g).len(), 1);
+        assert_eq!(c.len(RelId(0)), 2);
         assert!(c.same_facts(&s));
     }
 

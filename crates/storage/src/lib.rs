@@ -36,7 +36,6 @@ pub mod fact_store;
 pub mod fxhash;
 pub mod instance;
 pub mod matcher;
-pub mod sharded;
 pub mod snapshot;
 pub mod temporal_instance;
 pub mod value;
@@ -46,7 +45,6 @@ pub use codec::{ByteReader, ByteWriter, CodecError, Wire};
 pub use fact_store::{FactStore, Generation};
 pub use instance::Instance;
 pub use matcher::{Match, MatchError, SearchOptions, TemporalMode};
-pub use sharded::{PartScope, PartView, ShardedFactStore};
 pub use snapshot::StoreSnapshot;
 pub use temporal_instance::{TemporalFact, TemporalInstance};
 pub use value::{row, NullGen, NullId, Row, Value};

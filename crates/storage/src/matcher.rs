@@ -274,9 +274,10 @@ struct Search<'a, S: Store> {
     pattern: &'a Pattern,
     mode: TemporalMode,
     use_indexes: bool,
-    /// Per-atom admissible row-id range `[lo, hi)`. The semi-naive chase
-    /// uses this to pin one atom to a generation's delta and the preceding
-    /// atoms to the pre-delta prefix.
+    /// Per-atom admissible row-id range `[lo, hi)`. Pivot-bounded
+    /// Algorithm-1 discovery uses this to pin one atom to the fresh facts
+    /// and the preceding atoms to the settled prefix; generation-pinned
+    /// snapshot reads cap every atom at the sealed watermark.
     bounds: Vec<(u32, u32)>,
     bindings: Vec<Option<Value>>,
     matched: Vec<bool>,

@@ -133,20 +133,10 @@ impl TemporalInstance {
     }
 
     /// Seals the current contents as a generation (see
-    /// [`FactStore::mark`]). Facts inserted afterwards form the delta
-    /// [`facts_since`](Self::facts_since) returns.
+    /// [`FactStore::mark`]). Facts inserted afterwards start at the
+    /// per-relation watermark [`FactStore::delta_start`] reports.
     pub fn mark_generation(&mut self) -> Generation {
         self.store.mark()
-    }
-
-    /// The facts of `rel` added since `gen` was sealed.
-    pub fn facts_since(&self, rel: RelId, gen: Generation) -> &[TemporalFact] {
-        self.store.facts_since(rel, gen)
-    }
-
-    /// Whether any relation gained facts since `gen` was sealed.
-    pub fn has_delta_since(&self, gen: Generation) -> bool {
-        self.store.has_delta_since(gen)
     }
 
     /// The set of null bases occurring anywhere in the instance.
@@ -359,16 +349,16 @@ mod tests {
     fn generation_marks_surface_deltas() {
         let mut i = figure4();
         let gen = i.mark_generation();
-        assert!(!i.has_delta_since(gen));
+        let e = RelId(0);
+        assert_eq!(i.store().delta_start(e, gen) as usize, i.facts(e).len());
         i.insert_strs("E", &["Cyd", "Intel"], iv(0, 1));
-        assert!(i.has_delta_since(gen));
-        let delta: Vec<String> = i
-            .facts_since(RelId(0), gen)
+        let delta: Vec<String> = i.facts(e)[i.store().delta_start(e, gen) as usize..]
             .iter()
             .map(|f| f.data[0].to_string())
             .collect();
         assert_eq!(delta, vec!["Cyd"]);
-        assert!(i.facts_since(RelId(1), gen).is_empty());
+        let s = RelId(1);
+        assert_eq!(i.store().delta_start(s, gen) as usize, i.facts(s).len());
     }
 
     #[test]

@@ -6,7 +6,7 @@
 
 use tdx::core::chase::cluster::snapshot_consistent;
 use tdx::core::{hom_equivalent, semantics, DistributedCluster, StoreKind, TransportKind};
-use tdx::storage::{SearchOptions, TemporalFact};
+use tdx::storage::TemporalFact;
 use tdx::temporal::{Breakpoints, TimelinePartition};
 use tdx::workload::{paper_mapping, EmploymentConfig, EmploymentWorkload};
 use tdx::{c_chase_with, ChaseOptions, Interval, Value};
@@ -28,8 +28,7 @@ fn replica_sets_follow_the_server_assignment() {
     let mapping = paper_mapping();
     let tp = TimelinePartition::new(&Breakpoints::from_points([10, 20, 30]));
     assert_eq!(tp.server_assignment(3), vec![0, 0, 1, 2]);
-    let mut cluster =
-        DistributedCluster::spawn(&mapping, &tp, 3, SearchOptions::default()).unwrap();
+    let mut cluster = DistributedCluster::spawn(&mapping, &tp, 3).unwrap();
 
     let local = fact(&["Ada", "IBM"], iv(0, 5)); // server 0 only
     let crossing = fact(&["Bob", "IBM"], iv(15, 25)); // owner server 0, replica on 1
@@ -67,8 +66,7 @@ fn replica_sets_follow_the_server_assignment() {
 fn delta_shipping_reaches_every_overlapping_server() {
     let mapping = paper_mapping();
     let tp = TimelinePartition::new(&Breakpoints::from_points([10, 20]));
-    let mut cluster =
-        DistributedCluster::spawn(&mapping, &tp, 3, SearchOptions::default()).unwrap();
+    let mut cluster = DistributedCluster::spawn(&mapping, &tp, 3).unwrap();
     // Ship a delta-only load whose single fact spans all three blocks.
     let spanning = fact(&["Ada", "IBM"], Interval::from(0));
     let pre = vec![Vec::new(), Vec::new()];
@@ -125,14 +123,7 @@ fn tcp_cluster_speaks_the_same_protocol_as_channel() {
     // around, which it is for integration tests).
     let mapping = paper_mapping();
     let tp = TimelinePartition::new(&Breakpoints::from_points([10, 20, 30]));
-    let mut cluster = DistributedCluster::spawn_on(
-        &mapping,
-        &tp,
-        3,
-        SearchOptions::default(),
-        TransportKind::Tcp,
-    )
-    .unwrap();
+    let mut cluster = DistributedCluster::spawn_on(&mapping, &tp, 3, TransportKind::Tcp).unwrap();
     assert_eq!(cluster.transport(), TransportKind::Tcp);
     cluster.heartbeat().unwrap();
     let crossing = fact(&["Bob", "IBM"], iv(15, 25));
@@ -289,15 +280,10 @@ fn repeated_spawn_drop_does_not_grow_the_thread_count() {
     let tp = TimelinePartition::new(&Breakpoints::from_points([10, 20, 30]));
     for transport in [TransportKind::Channel, TransportKind::Tcp] {
         // Warm up once (lazy runtime allocations), then measure.
-        drop(
-            DistributedCluster::spawn_on(&mapping, &tp, 3, SearchOptions::default(), transport)
-                .unwrap(),
-        );
+        drop(DistributedCluster::spawn_on(&mapping, &tp, 3, transport).unwrap());
         let before = thread_count();
         for _ in 0..10 {
-            let mut cluster =
-                DistributedCluster::spawn_on(&mapping, &tp, 3, SearchOptions::default(), transport)
-                    .unwrap();
+            let mut cluster = DistributedCluster::spawn_on(&mapping, &tp, 3, transport).unwrap();
             cluster.heartbeat().unwrap();
         }
         let after = thread_count();

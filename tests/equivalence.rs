@@ -12,7 +12,8 @@ use tdx::workload::{
     EmploymentConfig, EmploymentWorkload, RandomConfig, RandomWorkload,
 };
 use tdx::{
-    c_chase_with, parse_query, ChaseOptions, SchemaMapping, TdxError, TemporalInstance, UnionQuery,
+    c_chase_with, parse_mapping, parse_query, ChaseOptions, Interval, SchemaMapping, TdxError,
+    TemporalInstance, UnionQuery,
 };
 
 fn scan() -> ChaseOptions {
@@ -47,6 +48,48 @@ fn all_engines() -> Vec<(&'static str, ChaseOptions)> {
         ),
         ("distributed/env", ChaseOptions::distributed(0)),
     ]
+}
+
+/// A mapping whose main tgd body joins three atoms, plus an existential
+/// tgd and an egd on the head relation — the one scenario that reaches the
+/// pivot-bounded matcher of Algorithm-1 discovery (every other fixture
+/// body has at most two atoms). Per person, employments and salaries never
+/// overlap, nor do a company's locations, so the egd never fails.
+fn wide_body_workload() -> (SchemaMapping, TemporalInstance) {
+    let mapping = parse_mapping(
+        "source { Emp(name, company). Loc(company, city). Sal(name, salary). }\n\
+         target { Info(name, city, salary). }\n\
+         tgd Emp(n,c) & Loc(c,city) & Sal(n,s) -> Info(n,city,s)\n\
+         tgd Emp(n,c) & Loc(c,city) -> exists s . Info(n,city,s)\n\
+         egd Info(n,city,s) & Info(n,city,s2) -> s = s2",
+    )
+    .unwrap();
+    let mut source = TemporalInstance::new(std::sync::Arc::new(mapping.source().clone()));
+    for k in 0..4u64 {
+        let company = format!("c{k}");
+        source.insert_strs("Loc", &[&company, "Oslo"], Interval::new(k, 10 + k));
+        source.insert_strs("Loc", &[&company, "Rome"], Interval::new(10 + k, 25 + k));
+    }
+    for i in 0..10u64 {
+        let (name, first, second) = (
+            format!("p{i}"),
+            format!("c{}", i % 4),
+            format!("c{}", (i + 1) % 4),
+        );
+        source.insert_strs("Emp", &[&name, &first], Interval::new(i, i + 12));
+        source.insert_strs("Emp", &[&name, &second], Interval::new(i + 12, i + 20));
+        source.insert_strs(
+            "Sal",
+            &[&name, &format!("{i}a")],
+            Interval::new(i + 2, i + 9),
+        );
+        source.insert_strs(
+            "Sal",
+            &[&name, &format!("{i}b")],
+            Interval::new(i + 9, i + 18),
+        );
+    }
+    (mapping, source)
 }
 
 /// Runs every engine and checks that all solutions represent the same
@@ -160,11 +203,95 @@ fn conflicting_employment_fails_on_all_engines() {
 }
 
 #[test]
+fn chase_failures_are_identical_on_local_and_distributed_engines() {
+    // Two egds that each equate two constants, in different timeline
+    // partitions: `fd` late, `bfd` early. The local egd phase folds its
+    // merge ops egd by egd, so it meets `fd`'s conflict first; the
+    // coordinator must fold the servers' per-partition ops in the same
+    // (egd, interval) order and report the very same failure.
+    let mapping = parse_mapping(
+        "source { E(name, company). S(name, salary). B(name, bonus). }\n\
+         target { Emp(name, company, salary). Bon(name, bonus). }\n\
+         tgd E(n,c) & S(n,s) -> Emp(n,c,s)\n\
+         tgd B(n,b) -> Bon(n,b)\n\
+         egd fd: Emp(n,c,s) & Emp(n,c,s2) -> s = s2\n\
+         egd bfd: Bon(n,b) & Bon(n,b2) -> b = b2",
+    )
+    .unwrap();
+    let mut source = TemporalInstance::new(std::sync::Arc::new(mapping.source().clone()));
+    source.insert_strs("E", &["Ada", "IBM"], Interval::new(80, 90));
+    source.insert_strs("S", &["Ada", "18k"], Interval::new(80, 90));
+    source.insert_strs("S", &["Ada", "20k"], Interval::new(80, 90));
+    source.insert_strs("B", &["Bob", "1k"], Interval::new(5, 10));
+    source.insert_strs("B", &["Bob", "2k"], Interval::new(5, 10));
+    for (i, start) in [0u64, 20, 40, 60].into_iter().enumerate() {
+        let name = format!("p{i}");
+        source.insert_strs("B", &[&name, "3k"], Interval::new(start, start + 7));
+    }
+    let local = c_chase_with(&source, &mapping, &ChaseOptions::default()).unwrap_err();
+    assert!(
+        matches!(&local, TdxError::ChaseFailure { dependency, .. } if dependency == "fd"),
+        "{local:?}"
+    );
+    for servers in [1usize, 2, 3] {
+        let dist =
+            c_chase_with(&source, &mapping, &ChaseOptions::distributed(servers)).unwrap_err();
+        assert_eq!(
+            format!("{local:?}"),
+            format!("{dist:?}"),
+            "servers = {servers}"
+        );
+    }
+}
+
+#[test]
 fn adversarial_nested_agrees() {
     for n in [6usize, 12, 20] {
         let (mapping, source) = nested_mapping(n);
         assert_engines_agree(&format!("nested/{n}"), &mapping, &source);
     }
+}
+
+#[test]
+fn wide_body_mapping_agrees() {
+    let (mapping, source) = wide_body_workload();
+    assert_engines_agree("wide", &mapping, &source);
+    assert_same_certain_answers(
+        "wide",
+        &mapping,
+        &source,
+        &[
+            "Q(n, city, s) :- Info(n, city, s)",
+            "Q(n) :- Info(n, city, s)",
+        ],
+    );
+    // Absorbed in batches, discovery pivots on the fresh facts of each
+    // batch against the settled ones of the earlier batches.
+    use tdx::workload::{split_stream, BatchOrder, StreamConfig};
+    use tdx::{DeltaBatch, IncrementalExchange};
+    let stream = split_stream(
+        mapping.clone(),
+        &source,
+        &StreamConfig {
+            batches: 3,
+            batch_fraction: 0.2,
+            order: BatchOrder::Uniform,
+            ..StreamConfig::default()
+        },
+    );
+    let mut session = IncrementalExchange::new(mapping.clone()).unwrap();
+    session
+        .apply(&DeltaBatch::from_instance(&stream.base))
+        .unwrap();
+    for batch in &stream.batches {
+        session.apply(&DeltaBatch::from_instance(batch)).unwrap();
+    }
+    let oracle = c_chase_with(&source, &mapping, &scan()).unwrap();
+    assert!(hom_equivalent(
+        &semantics(&oracle.target),
+        &semantics(&session.target())
+    ));
+    assert!(is_solution_concrete(&source, &session.target(), &mapping).unwrap());
 }
 
 #[test]
@@ -265,11 +392,9 @@ fn partitioned_engine_is_thread_count_deterministic() {
     }
 }
 
-#[test]
-fn distributed_engine_is_server_count_deterministic() {
-    // Like the thread-count determinism of the partitioned engine: the
-    // coordinator folds per-partition responses in partition order, so the
-    // output must be byte-identical for every cluster size.
+/// The inputs of the local/distributed byte-identity checks: employment,
+/// two adversarial nested-interval sources and the 3-atom-body mapping.
+fn byte_identity_cases() -> Vec<(String, SchemaMapping, TemporalInstance)> {
     let w = EmploymentWorkload::generate(&EmploymentConfig {
         persons: 20,
         horizon: 30,
@@ -277,49 +402,57 @@ fn distributed_engine_is_server_count_deterministic() {
         seed: 9,
         ..EmploymentConfig::default()
     });
-    let one = c_chase_with(&w.source, &w.mapping, &ChaseOptions::distributed(1)).unwrap();
-    for servers in [2usize, 3, 5] {
-        let many =
-            c_chase_with(&w.source, &w.mapping, &ChaseOptions::distributed(servers)).unwrap();
-        assert_eq!(one.target, many.target, "servers = {servers}");
-        assert_eq!(one.stats.tgd_steps, many.stats.tgd_steps);
-        assert_eq!(one.stats.egd_merges, many.stats.egd_merges);
+    let mut cases = vec![("employment".to_string(), w.mapping, w.source)];
+    for n in [12usize, 20] {
+        let (mapping, source) = nested_mapping(n);
+        cases.push((format!("nested/{n}"), mapping, source));
+    }
+    let (mapping, source) = wide_body_workload();
+    cases.push(("wide".to_string(), mapping, source));
+    cases
+}
+
+#[test]
+fn distributed_engine_is_server_count_deterministic() {
+    // Like the thread-count determinism of the partitioned engine: servers
+    // run the session's own join kernel on the intervals they own, and the
+    // coordinator restores the session's hom and merge order, so the output
+    // must be byte-identical to the local engine for every cluster size.
+    for (label, mapping, source) in byte_identity_cases() {
+        let local = c_chase_with(&source, &mapping, &ChaseOptions::default()).unwrap();
+        for servers in [1usize, 2, 3, 5] {
+            let many =
+                c_chase_with(&source, &mapping, &ChaseOptions::distributed(servers)).unwrap();
+            assert_eq!(local.target, many.target, "{label}: servers = {servers}");
+            assert_eq!(local.stats.tgd_steps, many.stats.tgd_steps, "{label}");
+            assert_eq!(local.stats.egd_merges, many.stats.egd_merges, "{label}");
+        }
     }
 }
 
 #[test]
 fn distributed_engine_is_byte_identical_across_transports_and_server_counts() {
     // The acceptance bar of the transport layer: `{channel, tcp} × {1, 3}`
-    // servers all produce byte-identical targets and stats. The transport
-    // carries frames and the server count only relocates partitions, so
-    // neither may influence the result.
-    let w = EmploymentWorkload::generate(&EmploymentConfig {
-        persons: 20,
-        horizon: 30,
-        salary_coverage: 0.7,
-        seed: 9,
-        ..EmploymentConfig::default()
-    });
-    let reference = c_chase_with(
-        &w.source,
-        &w.mapping,
-        &ChaseOptions::distributed(1).on_transport(TransportKind::Channel),
-    )
-    .unwrap();
-    for transport in [TransportKind::Channel, TransportKind::Tcp] {
-        for servers in [1usize, 3] {
-            let run = c_chase_with(
-                &w.source,
-                &w.mapping,
-                &ChaseOptions::distributed(servers).on_transport(transport),
-            )
-            .unwrap();
-            assert_eq!(
-                reference.target, run.target,
-                "{transport:?} x {servers} servers diverged"
-            );
-            assert_eq!(reference.stats.tgd_steps, run.stats.tgd_steps);
-            assert_eq!(reference.stats.egd_merges, run.stats.egd_merges);
+    // servers all produce the local engine's targets and stats byte for
+    // byte. The transport carries frames and the server count only
+    // relocates partitions, so neither may influence the result.
+    for (label, mapping, source) in byte_identity_cases() {
+        let reference = c_chase_with(&source, &mapping, &ChaseOptions::default()).unwrap();
+        for transport in [TransportKind::Channel, TransportKind::Tcp] {
+            for servers in [1usize, 3] {
+                let run = c_chase_with(
+                    &source,
+                    &mapping,
+                    &ChaseOptions::distributed(servers).on_transport(transport),
+                )
+                .unwrap();
+                assert_eq!(
+                    reference.target, run.target,
+                    "{label}: {transport:?} x {servers} servers diverged"
+                );
+                assert_eq!(reference.stats.tgd_steps, run.stats.tgd_steps, "{label}");
+                assert_eq!(reference.stats.egd_merges, run.stats.egd_merges, "{label}");
+            }
         }
     }
 }
@@ -407,11 +540,23 @@ fn distributed_incremental_session_agrees_with_every_engine() {
     let mut session =
         IncrementalExchange::with_options(stream.mapping.clone(), ChaseOptions::distributed(0))
             .unwrap();
-    session
-        .apply(&DeltaBatch::from_instance(&stream.base))
-        .unwrap();
-    for batch in &stream.batches {
-        session.apply(&DeltaBatch::from_instance(batch)).unwrap();
+    // A local session in lockstep: both run the one join kernel and fold
+    // merges in one order, so their targets match byte for byte after
+    // every batch.
+    let mut local =
+        IncrementalExchange::with_options(stream.mapping.clone(), ChaseOptions::default()).unwrap();
+    for (i, batch) in std::iter::once(&stream.base)
+        .chain(&stream.batches)
+        .enumerate()
+    {
+        let batch = DeltaBatch::from_instance(batch);
+        session.apply(&batch).unwrap();
+        local.apply(&batch).unwrap();
+        assert_eq!(
+            session.target(),
+            local.target(),
+            "batch {i}: distributed session diverged from the local one"
+        );
     }
     let union = stream.union();
     let incremental = session.target();
@@ -684,7 +829,6 @@ fn resume_probe_survives_chaos_faults_at_every_frame_offset() {
         ChannelSpawner, ChaosSpawner, DistributedCluster, FaultKind, FaultPlan, StoreKind,
         TransportSpawner,
     };
-    use tdx::storage::SearchOptions;
     use tdx::temporal::{Breakpoints, TimelinePartition};
 
     let w = EmploymentWorkload::generate(&EmploymentConfig {
@@ -716,7 +860,6 @@ fn resume_probe_survives_chaos_faults_at_every_frame_offset() {
             mapping,
             tp,
             3,
-            SearchOptions::default(),
             spawner,
             Some(Duration::from_millis(250)),
             [&empty_src, &empty_tgt],
@@ -887,5 +1030,5 @@ fn protocol_fault_matrix_is_exhaustive_and_names_live_tests() {
             "{frame}: covering test {test} does not exist"
         );
     }
-    assert_eq!(seen.len(), 16, "the v4 protocol has 16 frames");
+    assert_eq!(seen.len(), 16, "the v5 protocol has 16 frames");
 }
