@@ -366,13 +366,13 @@ pub mod distributed_suite {
 
 /// The `c_chase/distributed/scaling/*` suite: the same chase at 1, 2 and 4
 /// servers over two workload families, sized so the servers' fused-round
-/// work (local Algorithm-1 discovery + match enumeration, which runs
-/// concurrently across servers inside each broadcast barrier) dominates
-/// the protocol overhead. `employment` is the standard family at 200
-/// persons; `boundary` turns the tenure and unbounded-interval knobs up so
-/// a large share of facts cross coarsened-block boundaries — the
-/// replica-dense regime where the v1 coordinator-funneled protocol scaled
-/// *negatively*. The acceptance bar (enforced by `bench_check` on
+/// work (match enumeration, which runs concurrently across servers inside
+/// each broadcast barrier) dominates the protocol overhead. `employment`
+/// is the standard family at 200 persons; `boundary` turns the tenure and
+/// unbounded-interval knobs up so a large share of facts cross
+/// coarsened-block boundaries or run to the tail — each still shipped to
+/// its start owner only, so the server order of the coordinator's fold
+/// carries the interval order across those boundaries. The acceptance bar (enforced by `bench_check` on
 /// multi-core machines) is a monotone non-negative speedup slope across
 /// the server counts. Shared between `benches/chase.rs` and the regression
 /// gate like [`engine_suite`].
@@ -862,7 +862,8 @@ pub mod robustness_suite {
 ///   instance on every call: the pre-compilation read latency;
 /// * `employment/cold_compile/100` — plan + compile + execute against a
 ///   fresh snapshot, no caches: the first-query latency;
-/// * `employment/warm_repeat/100` — a pre-warmed [`QueryService`]
+/// * `employment/warm_repeat/100` — a pre-warmed
+///   [`QueryService`](tdx_core::QueryService)
 ///   (plans and fragments cached, nothing dirty): the steady-state
 ///   repeat-read latency. `bench_check` gates
 ///   `naive_full / warm_repeat ≥ 5×` on the same fresh run;

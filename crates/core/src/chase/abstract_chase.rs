@@ -106,7 +106,8 @@ pub fn abstract_chase_with(
 /// `threads = 0` resolves through the same knob as the concrete engine —
 /// `TDX_CHASE_THREADS`, then the machine — via
 /// [`worker_threads`](crate::chase::worker_threads); see also
-/// [`abstract_chase_parallel_opts`] to drive it from [`ChaseOptions`].
+/// [`abstract_chase_parallel_opts`] to drive it from
+/// [`ChaseOptions`](crate::chase::concrete::ChaseOptions).
 pub fn abstract_chase_parallel(
     ia: &AbstractInstance,
     mapping: &SchemaMapping,
@@ -165,7 +166,8 @@ pub fn abstract_chase_parallel(
     AbstractInstance::from_epochs(target_schema, epochs)
 }
 
-/// [`abstract_chase_parallel`] configured from [`ChaseOptions`]: the worker
+/// [`abstract_chase_parallel`] configured from
+/// [`ChaseOptions`](crate::chase::concrete::ChaseOptions): the worker
 /// count comes from the engine choice
 /// ([`ChaseEngine::PartitionedParallel`](crate::chase::concrete::ChaseEngine)'s
 /// `threads`, else the `TDX_CHASE_THREADS`/machine default) — the one knob

@@ -4,8 +4,8 @@
 //! Two things live here:
 //!
 //! 1. **The coordinator kernel** — the restricted-chase check machinery
-//!    ([`Check`], [`classify_check`], [`register_memo`]) and the union-find
-//!    merge fold ([`fold_merge_ops`]). The
+//!    (`Check`, `classify_check`, `register_memo`) and the union-find
+//!    merge fold (`fold_merge_ops`). The
 //!    [`IncrementalExchange`](crate::chase::incremental::IncrementalExchange)
 //!    session — the one production chase engine, local or distributed —
 //!    folds its enumerated matches through these routines; only *where the
@@ -25,7 +25,7 @@
 //! kept in order, plus inserts of only the genuinely new facts — and the
 //! server reconstructs exactly the full lists the PR 4 protocol used to
 //! re-ship wholesale. The program is the greedy in-order diff
-//! ([`diff_ops`]), which is *exact* for how the chase evolves its lists:
+//! (`diff_ops`), which is *exact* for how the chase evolves its lists:
 //! settling appends (one retained run + a suffix — the retained-prefix
 //! watermark of the steady state), union-find rewrites and
 //! re-fragmentation delete in place and append replacements (retained
@@ -46,12 +46,12 @@
 //! cached images as full re-ships — restoring the server to exactly its
 //! pre-failure state — and re-sends the failed frame. Each slot tracks a
 //! [`ServerHealth`] state machine: a failure demotes it to `Suspect`, and
-//! [`CLEAN_ROUNDS_TO_FORGIVE`] consecutive clean rounds decay one respawn
+//! `CLEAN_ROUNDS_TO_FORGIVE` consecutive clean rounds decay one respawn
 //! off its budget again (so a long-lived session is not killed by
 //! transient faults accumulated over hours). A server that exhausts
-//! [`MAX_RESPAWNS`] *without* recovering is **quarantined**: its slot is
-//! permanently replaced by an in-coordinator [`LocalTransport`] running
-//! the identical deterministic [`ServerState`] kernel, so the chase
+//! `MAX_RESPAWNS` *without* recovering is **quarantined**: its slot is
+//! permanently replaced by an in-coordinator `LocalTransport` running
+//! the identical deterministic `ServerState` kernel, so the chase
 //! completes byte-identical — slower, but never failed — instead of
 //! erroring out. [`DistributedCluster::heartbeat`] pings every server and
 //! runs the same recovery, for callers that held a cluster idle (an
@@ -59,19 +59,21 @@
 //!
 //! # Determinism
 //!
-//! Servers run the session's own join kernel on the dirty intervals whose
-//! start partition they own. Responses are tagged with their partition
-//! index and folded in ascending partition order — ascending interval
-//! order, the local session's hom order — and merge ops are then sorted
-//! stably by (egd, interval), the local egd phase's order. A partition's
-//! enumeration depends on neither the server hosting it nor the transport
-//! carrying the frames, so the result is byte-identical to the local
-//! engine across `{channel, tcp} × any server count`
-//! (`tests/equivalence.rs`).
+//! Every fact is routed to one server only: the owner of the partition its
+//! interval starts in ([`TimelinePartition::server_of`]). Servers own
+//! contiguous ascending partition blocks and run the session's own join
+//! kernel, which walks dirty intervals in ascending order, so
+//! concatenating the per-tgd homomorphisms server by server yields
+//! ascending interval order — the local session's hom order. Merge ops are
+//! concatenated the same way and then sorted stably by (egd, interval),
+//! the local egd phase's order. Neither the server count nor the transport
+//! carrying the frames changes that order, so the result is
+//! byte-identical to the local engine across `{channel, tcp} × any server
+//! count` (`tests/equivalence.rs`).
 
 use super::protocol::{
     config_digest, image_digest, FactLists, Hom, MergeOp, Message, RelationSync, Response,
-    ServerConfig, StoreKind, SyncOp,
+    ServerConfig, StoreKind, SyncOp, WireHom,
 };
 use super::server::ServerState;
 use super::transport::{
@@ -84,7 +86,7 @@ use std::time::Duration;
 use tdx_logic::{Atom, RelId, Schema, SchemaMapping, Term, Var};
 use tdx_storage::codec::{decode, encode};
 use tdx_storage::fxhash::FxHashSet;
-use tdx_storage::{Row, TemporalFact, Value};
+use tdx_storage::{TemporalFact, Value};
 use tdx_temporal::{Interval, TimelinePartition};
 
 // ---------------------------------------------------------------------------
@@ -251,7 +253,7 @@ pub(crate) const CLEAN_ROUNDS_TO_FORGIVE: u32 = 8;
 /// clean rounds have decayed the respawn budget back to zero;
 /// `Suspect → Quarantined` (terminal for the cluster's lifetime) when the
 /// budget is exhausted — the slot's owned blocks then run
-/// coordinator-locally on the shared [`ServerState`] kernel, preserving
+/// coordinator-locally on the shared `ServerState` kernel, preserving
 /// byte-identical results at reduced parallelism.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ServerHealth {
@@ -296,36 +298,27 @@ struct Routed {
     splits: Vec<Vec<u64>>,
 }
 
-/// Sorts per-partition wire homs into ascending partition order and
-/// re-interns them per tgd.
-fn fold_wire_homs(
-    mut grouped: Vec<super::protocol::PartitionHoms>,
-    tgd_count: usize,
-) -> Result<Vec<Vec<Hom>>> {
-    grouped.sort_by_key(|(p, _)| *p);
-    let mut out: Vec<Vec<Hom>> = vec![Vec::new(); tgd_count];
-    for (_, per_tgd) in grouped {
-        for (ti, homs) in per_tgd.into_iter().enumerate() {
-            if ti >= tgd_count {
-                return Err(TdxError::Invalid("server returned extra tgd rows".into()));
-            }
-            out[ti].extend(homs.into_iter().map(|(bind, iv)| {
-                (
-                    bind.into_iter()
-                        .map(|(name, val)| (Var::new(&name), val))
-                        .collect::<Vec<_>>(),
-                    iv,
-                )
-            }));
-        }
+/// Appends one server's per-tgd wire homs to the per-tgd fold,
+/// re-interning their variables.
+fn fold_wire_homs(out: &mut [Vec<Hom>], per_tgd: Vec<Vec<WireHom>>) -> Result<()> {
+    if per_tgd.len() > out.len() {
+        return Err(TdxError::Invalid("server returned extra tgd rows".into()));
     }
-    Ok(out)
+    for (ti, homs) in per_tgd.into_iter().enumerate() {
+        out[ti].extend(homs.into_iter().map(|(bind, iv)| {
+            (
+                bind.into_iter()
+                    .map(|(name, val)| (Var::new(&name), val))
+                    .collect::<Vec<_>>(),
+                iv,
+            )
+        }));
+    }
+    Ok(())
 }
 
 struct ServerSlot {
     transport: Box<dyn Transport>,
-    /// The encoded `Hello` handshake, replayed on respawn.
-    hello: Vec<u8>,
     /// Per store: the routed image last acknowledged (concatenated
     /// pre + delta lists and the per-relation split) — the coordinator's
     /// copy of the server's retained image, and the base of the next
@@ -339,10 +332,9 @@ struct ServerSlot {
 }
 
 impl ServerSlot {
-    fn new(transport: Box<dyn Transport>, hello: Vec<u8>) -> ServerSlot {
+    fn new(transport: Box<dyn Transport>) -> ServerSlot {
         ServerSlot {
             transport,
-            hello,
             shipped: [None, None],
             respawns: 0,
             health: ServerHealth::Healthy,
@@ -424,6 +416,9 @@ impl Transport for LocalTransport {
 /// sends `Shutdown` and joins/reaps them.
 pub struct DistributedCluster {
     slots: Vec<ServerSlot>,
+    /// The encoded `Hello` handshake — the same for every server — replayed
+    /// on respawn.
+    hello: Vec<u8>,
     tp: TimelinePartition,
     src_rels: usize,
     tgt_rels: usize,
@@ -487,8 +482,9 @@ impl DistributedCluster {
     /// Spawns `servers` partition servers over `tp` on the transport
     /// resolved from the environment (`TDX_CHASE_TRANSPORT`, default
     /// channel), distributing its ranges as contiguous balanced blocks
-    /// ([`TimelinePartition::server_of`]). Dependency bodies and schemas
-    /// ship as the `Hello` handshake.
+    /// ([`TimelinePartition::server_of`]); each fact is shipped to the
+    /// owner of the range its interval starts in. Dependency bodies and
+    /// schemas ship as the `Hello` handshake.
     pub fn spawn(
         mapping: &SchemaMapping,
         tp: &TimelinePartition,
@@ -523,7 +519,7 @@ impl DistributedCluster {
     /// [`frame_deadline`](crate::chase::frame_deadline) — `None` consults
     /// `TDX_CHASE_DEADLINE_MS`, `Some(ZERO)` disables deadlines). A spawn
     /// failure no longer fails the cluster: the slot starts on a
-    /// [`DownTransport`] placeholder and goes through the retry path — and
+    /// `DownTransport` placeholder and goes through the retry path — and
     /// eventually quarantine — at the `Hello` handshake.
     pub fn spawn_with_deadline(
         mapping: &SchemaMapping,
@@ -532,26 +528,9 @@ impl DistributedCluster {
         spawner: Arc<dyn TransportSpawner>,
         deadline: Option<Duration>,
     ) -> Result<DistributedCluster> {
-        let deadline = crate::chase::frame_deadline(deadline);
-        let servers = servers.max(1);
-        let mut slots = Vec::with_capacity(servers);
-        for s in 0..servers {
-            let cfg = ServerConfig::for_server(mapping, tp, s, servers);
-            let transport = spawn_transport(&*spawner, s, deadline);
-            slots.push(ServerSlot::new(transport, encode(&Message::Hello(cfg))));
-        }
-        let mut cluster = DistributedCluster {
-            slots,
-            tp: tp.clone(),
-            src_rels: mapping.source().len(),
-            tgt_rels: mapping.target().len(),
-            servers,
-            spawner,
-            traffic: TrafficStats::default(),
-            deadline,
-        };
+        let mut cluster = Self::unconfigured(mapping, tp, servers, spawner, deadline);
         // Handshake every server (pipelined like any broadcast round).
-        let hellos: Vec<Vec<u8>> = cluster.slots.iter().map(|s| s.hello.clone()).collect();
+        let hellos = vec![cluster.hello.clone(); cluster.servers];
         for (s, resp) in cluster.broadcast(hellos)?.into_iter().enumerate() {
             if resp != Response::Ready {
                 return Err(transport_err(
@@ -561,6 +540,31 @@ impl DistributedCluster {
             }
         }
         Ok(cluster)
+    }
+
+    /// Spawns the server carriers without sending them anything.
+    fn unconfigured(
+        mapping: &SchemaMapping,
+        tp: &TimelinePartition,
+        servers: usize,
+        spawner: Arc<dyn TransportSpawner>,
+        deadline: Option<Duration>,
+    ) -> DistributedCluster {
+        let deadline = crate::chase::frame_deadline(deadline);
+        let servers = servers.max(1);
+        DistributedCluster {
+            slots: (0..servers)
+                .map(|s| ServerSlot::new(spawn_transport(&*spawner, s, deadline)))
+                .collect(),
+            hello: encode(&Message::Hello(ServerConfig::for_server(mapping))),
+            tp: tp.clone(),
+            src_rels: mapping.source().len(),
+            tgt_rels: mapping.target().len(),
+            servers,
+            spawner,
+            traffic: TrafficStats::default(),
+            deadline,
+        }
     }
 
     /// [`DistributedCluster::spawn_with`] for a *recovering* coordinator:
@@ -590,40 +594,14 @@ impl DistributedCluster {
         deadline: Option<Duration>,
         expected: [&FactLists; 2],
     ) -> Result<(DistributedCluster, usize)> {
-        let deadline = crate::chase::frame_deadline(deadline);
-        let servers = servers.max(1);
-        let mut slots = Vec::with_capacity(servers);
-        let mut cfg_digests = Vec::with_capacity(servers);
-        for s in 0..servers {
-            let cfg = ServerConfig::for_server(mapping, tp, s, servers);
-            let transport = spawn_transport(&*spawner, s, deadline);
-            cfg_digests.push(config_digest(&cfg));
-            slots.push(ServerSlot::new(transport, encode(&Message::Hello(cfg))));
-        }
-        let mut cluster = DistributedCluster {
-            slots,
-            tp: tp.clone(),
-            src_rels: mapping.source().len(),
-            tgt_rels: mapping.target().len(),
-            servers,
-            spawner,
-            traffic: TrafficStats::default(),
-            deadline,
-        };
+        let mut cluster = Self::unconfigured(mapping, tp, servers, spawner, deadline);
+        let cfg_digest = config_digest(&ServerConfig::for_server(mapping));
         // What each surviving server *should* retain: the settled lists
         // routed as all-pre (the delta boundary difference is immaterial —
         // see above).
         let routed = [
-            cluster.route_lists(
-                cluster.src_rels,
-                expected[0],
-                &vec![Vec::new(); cluster.src_rels],
-            ),
-            cluster.route_lists(
-                cluster.tgt_rels,
-                expected[1],
-                &vec![Vec::new(); cluster.tgt_rels],
-            ),
+            cluster.route_settled(StoreKind::Source, expected[0]),
+            cluster.route_settled(StoreKind::Target, expected[1]),
         ];
         // A server that dies during this probe goes through the ordinary
         // retry path: its respawn replays `Hello` (shipped caches are still
@@ -642,7 +620,7 @@ impl DistributedCluster {
                     images,
                 } => {
                     configured
-                        && config == cfg_digests[s]
+                        && config == cfg_digest
                         && images[0] == image_digest(&routed[0].images[s])
                         && images[1] == image_digest(&routed[1].images[s])
                 }
@@ -662,7 +640,7 @@ impl DistributedCluster {
                 // The reset rides the full retry path: a server that dies
                 // on its fallback `Hello` is respawned and re-reset, not
                 // surfaced as a failed recovery.
-                let hello = cluster.slots[s].hello.clone();
+                let hello = cluster.hello.clone();
                 match cluster.request_retried(s, &hello)? {
                     Response::Ready => {}
                     other => {
@@ -812,7 +790,7 @@ impl DistributedCluster {
     /// images as full `Insert` re-ships — the respawn/quarantine tail
     /// that restores a blank peer to its pre-failure state.
     fn replay_state(&mut self, s: usize) -> Result<()> {
-        let hello = self.slots[s].hello.clone();
+        let hello = self.hello.clone();
         match self.request_direct(s, &hello)? {
             Response::Ready => {}
             other => {
@@ -953,11 +931,20 @@ impl DistributedCluster {
         Ok(())
     }
 
-    /// Routes `pre ++ delta` into per-server images: per relation the
-    /// concatenated pre + delta facts overlapping each server's owned
-    /// ranges (owner + boundary replicas), and the boundary between the
-    /// two blocks.
-    fn route_lists(&self, nrels: usize, pre: &FactLists, delta: &FactLists) -> Routed {
+    /// Relation count of `store`'s schema.
+    fn rels(&self, store: StoreKind) -> usize {
+        match store {
+            StoreKind::Source => self.src_rels,
+            StoreKind::Target => self.tgt_rels,
+        }
+    }
+
+    /// Routes `pre ++ delta` into per-server images: each fact goes to the
+    /// one server owning the partition its interval starts in, in list
+    /// order. Per server and relation: the concatenated pre + delta facts
+    /// and the boundary between the two blocks.
+    fn route_lists(&self, store: StoreKind, pre: &FactLists, delta: &FactLists) -> Routed {
+        let nrels = self.rels(store);
         let mut routed = Routed {
             images: vec![vec![Vec::new(); nrels]; self.servers],
             splits: vec![vec![0; nrels]; self.servers],
@@ -965,17 +952,22 @@ impl DistributedCluster {
         for (block, lists) in [pre, delta].into_iter().enumerate() {
             for (r, facts) in lists.iter().enumerate() {
                 for fact in facts {
-                    let (lo, hi) = self.tp.servers_overlapping(&fact.interval, self.servers);
-                    for s in lo..=hi {
-                        routed.images[s][r].push(fact.clone());
-                        if block == 0 {
-                            routed.splits[s][r] += 1;
-                        }
+                    let part = self.tp.part_of(fact.interval.start());
+                    let s = self.tp.server_of(part, self.servers);
+                    routed.images[s][r].push(fact.clone());
+                    if block == 0 {
+                        routed.splits[s][r] += 1;
                     }
                 }
             }
         }
         routed
+    }
+
+    /// [`route_lists`](Self::route_lists) of settled lists: everything in
+    /// the pre block.
+    fn route_settled(&self, store: StoreKind, lists: &FactLists) -> Routed {
+        self.route_lists(store, lists, &vec![Vec::new(); self.rels(store)])
     }
 
     /// The sync program for one server against its retained image (see the
@@ -1016,21 +1008,17 @@ impl DistributedCluster {
     }
 
     /// Syncs the servers' fact lists for `store`: each fact is routed to
-    /// every server whose owned ranges its interval overlaps (owner +
-    /// boundary replicas), and each server receives only the sync program
-    /// against its retained image — runs kept in place, genuinely new
-    /// facts inserted (see the module docs).
+    /// the server owning the partition its interval starts in, and each
+    /// server receives only the sync program against its retained image —
+    /// runs kept in place, genuinely new facts inserted (see the module
+    /// docs).
     pub fn apply_delta(
         &mut self,
         store: StoreKind,
         pre: &FactLists,
         delta: &FactLists,
     ) -> Result<()> {
-        let nrels = match store {
-            StoreKind::Source => self.src_rels,
-            StoreKind::Target => self.tgt_rels,
-        };
-        let routed = self.route_lists(nrels, pre, delta);
+        let routed = self.route_lists(store, pre, delta);
         let mut frames = Vec::with_capacity(self.servers);
         for s in 0..self.servers {
             let (sync, shipped_facts) =
@@ -1065,11 +1053,7 @@ impl DistributedCluster {
         pre: &FactLists,
         delta: &FactLists,
     ) -> Result<Vec<Response>> {
-        let nrels = match store {
-            StoreKind::Source => self.src_rels,
-            StoreKind::Target => self.tgt_rels,
-        };
-        let routed = self.route_lists(nrels, pre, delta);
+        let routed = self.route_lists(store, pre, delta);
         let mut frames = Vec::with_capacity(self.servers);
         for s in 0..self.servers {
             let (sync, shipped_facts) =
@@ -1092,22 +1076,23 @@ impl DistributedCluster {
 
     /// One fused tgd round: sync the source lists and enumerate the
     /// delta-touching tgd matches in a single round trip per server.
-    /// Returns the homomorphisms per tgd in ascending partition order —
-    /// the same for every server count.
+    /// Returns the homomorphisms per tgd in ascending interval order —
+    /// servers concatenated in server order (see the module docs), the
+    /// same for every server count.
     pub fn run_tgd_round_fused(
         &mut self,
         pre: &FactLists,
         delta: &FactLists,
         tgd_count: usize,
     ) -> Result<Vec<Vec<Hom>>> {
-        let mut grouped: Vec<super::protocol::PartitionHoms> = Vec::new();
+        let mut out: Vec<Vec<Hom>> = vec![Vec::new(); tgd_count];
         for (s, resp) in self
             .fused_exchange(StoreKind::Source, pre, delta)?
             .into_iter()
             .enumerate()
         {
             match resp {
-                Response::TgdFused { homs } => grouped.extend(homs),
+                Response::TgdFused { homs } => fold_wire_homs(&mut out, homs)?,
                 other => {
                     return Err(transport_err(
                         s,
@@ -1116,7 +1101,7 @@ impl DistributedCluster {
                 }
             }
         }
-        fold_wire_homs(grouped, tgd_count)
+        Ok(out)
     }
 
     /// One fused egd round: sync the target lists and enumerate the
@@ -1129,14 +1114,14 @@ impl DistributedCluster {
         pre: &FactLists,
         delta: &FactLists,
     ) -> Result<Vec<MergeOp>> {
-        let mut grouped: Vec<super::protocol::PartitionMerges> = Vec::new();
+        let mut ops: Vec<MergeOp> = Vec::new();
         for (s, resp) in self
             .fused_exchange(StoreKind::Target, pre, delta)?
             .into_iter()
             .enumerate()
         {
             match resp {
-                Response::EgdFused { merges } => grouped.extend(merges),
+                Response::EgdFused { merges } => ops.extend(merges),
                 other => {
                     return Err(transport_err(
                         s,
@@ -1145,32 +1130,25 @@ impl DistributedCluster {
                 }
             }
         }
-        grouped.sort_by_key(|(p, _)| *p);
-        let mut ops: Vec<MergeOp> = grouped.into_iter().flat_map(|(_, ops)| ops).collect();
         ops.sort_by_key(|&(ei, _, _, iv)| (ei, iv));
         Ok(ops)
     }
 
-    /// Per server: the owned facts and boundary replicas it currently holds
-    /// for `store`.
-    pub fn snapshots(&mut self, store: StoreKind) -> Result<Vec<(FactLists, FactLists)>> {
-        let mut out = Vec::with_capacity(self.servers);
-        for (s, resp) in self
-            .broadcast_same(&Message::Snapshot { store })?
+    /// Per server: the [`image_digest`] of the retained image it reports
+    /// for `store` through the `Resume` probe — the audit view of what the
+    /// servers hold.
+    pub fn image_digests(&mut self, store: StoreKind) -> Result<Vec<u64>> {
+        self.broadcast_same(&Message::Resume)?
             .into_iter()
             .enumerate()
-        {
-            match resp {
-                Response::Facts { owned, replicas } => out.push((owned, replicas)),
-                other => {
-                    return Err(transport_err(
-                        s,
-                        format!("unexpected response to Snapshot: {other:?}"),
-                    ))
-                }
-            }
-        }
-        Ok(out)
+            .map(|(s, resp)| match resp {
+                Response::ResumeState { images, .. } => Ok(images[store.idx()]),
+                other => Err(transport_err(
+                    s,
+                    format!("unexpected response to Resume: {other:?}"),
+                )),
+            })
+            .collect()
     }
 }
 
@@ -1255,34 +1233,23 @@ impl Drop for DistributedCluster {
     }
 }
 
-/// Audits that the union of the servers' owner facts equals the
-/// coordinator's fact lists (as multisets) — the invariant `ApplyDelta`
-/// shipping must maintain. Cheap relative to a chase round; used by the
+/// Audits that every server retains exactly its owner-routed share of the
+/// coordinator's fact lists for `store` (`lists` = pre ++ delta per
+/// relation), in list order — the invariant `ApplyDelta` shipping must
+/// maintain. Compares each server's reported [`image_digest`] with the
+/// digest of its routed lists, so a reordered image fails too. Used by the
 /// protocol tests.
 pub fn snapshot_consistent(
     cluster: &mut DistributedCluster,
     store: StoreKind,
     lists: &FactLists,
 ) -> Result<bool> {
-    let mut expected: tdx_storage::fxhash::FxHashMap<(usize, Row, Interval), isize> =
-        Default::default();
-    for (r, facts) in lists.iter().enumerate() {
-        for f in facts {
-            *expected
-                .entry((r, Arc::clone(&f.data), f.interval))
-                .or_default() += 1;
-        }
+    if lists.len() != cluster.rels(store) {
+        return Ok(false);
     }
-    for (owned, _) in cluster.snapshots(store)? {
-        for (r, facts) in owned.iter().enumerate() {
-            for f in facts {
-                *expected
-                    .entry((r, Arc::clone(&f.data), f.interval))
-                    .or_default() -= 1;
-            }
-        }
-    }
-    Ok(expected.values().all(|&n| n == 0))
+    let routed = cluster.route_settled(store, lists);
+    let expected: Vec<u64> = routed.images.iter().map(image_digest).collect();
+    Ok(cluster.image_digests(store)? == expected)
 }
 
 #[cfg(test)]
@@ -1412,38 +1379,53 @@ mod tests {
     }
 
     #[test]
-    fn unbounded_boundary_facts_are_replicated_to_the_server_tail() {
-        // An unbounded fact must be shipped to its owner and to every later
-        // server (it overlaps all of their ranges) — visible as a replica in
-        // their snapshots.
+    fn boundary_facts_live_on_their_start_owner_only() {
+        // Cut at 10/20/30 over two servers: server 0 owns ranges {0, 1},
+        // server 1 owns {2, 3}. A fact is shipped once, to the owner of
+        // the range its interval starts in — however many later ranges an
+        // unbounded or crossing interval overlaps.
+        use tdx_storage::row;
         let mapping = paper_mapping();
         let tp = TimelinePartition::new(&tdx_temporal::Breakpoints::from_points([10, 20, 30]));
         let mut cluster = DistributedCluster::spawn(&mapping, &tp, 2).unwrap();
-        use tdx_storage::row;
-        let unbounded = TemporalFact {
-            data: row([Value::str("Ada"), Value::str("IBM")]),
-            interval: Interval::from(15), // owner partition 1 (server 0), crosses into server 1
+        let fact = |name: &str, interval: Interval| TemporalFact {
+            data: row([Value::str(name), Value::str("IBM")]),
+            interval,
         };
-        let bounded = TemporalFact {
-            data: row([Value::str("Bob"), Value::str("IBM")]),
-            interval: iv(0, 5), // stays on server 0
-        };
-        assert!(unbounded.interval.is_unbounded());
-        let pre: FactLists = vec![vec![unbounded.clone(), bounded.clone()], vec![]];
-        let delta: FactLists = vec![Vec::new(); 2];
+        let bounded = fact("Ada", iv(0, 5));
+        let unbounded = fact("Bob", Interval::from(15)); // range 1 .. the tail
+        let crossing = fact("Cyd", iv(18, 35)); // ranges 1..3
+        let late = fact("Dan", Interval::from(25)); // range 2 .. the tail
+        let pre: FactLists = vec![
+            vec![
+                bounded.clone(),
+                late.clone(),
+                unbounded.clone(),
+                crossing.clone(),
+            ],
+            vec![],
+        ];
         cluster
-            .apply_delta(StoreKind::Source, &pre, &delta)
+            .apply_delta(StoreKind::Source, &pre, &vec![Vec::new(); 2])
             .unwrap();
-        let snaps = cluster.snapshots(StoreKind::Source).unwrap();
-        assert_eq!(snaps.len(), 2);
-        // Server 0 owns both facts; server 1 holds the unbounded one only,
-        // as a replica.
-        assert_eq!(snaps[0].0[0].len(), 2);
-        assert!(snaps[0].1[0].is_empty());
-        assert!(snaps[1].0[0].is_empty());
-        assert_eq!(snaps[1].1[0], vec![unbounded]);
-        // And the owner multiset matches the coordinator's lists.
+        assert_eq!(cluster.traffic().apply_delta_facts, 4);
+        let placed = |cluster: &DistributedCluster, s: usize| {
+            cluster.slots[s].shipped[StoreKind::Source.idx()]
+                .clone()
+                .unwrap()
+                .0
+        };
+        // List order survives the routing.
+        assert_eq!(
+            placed(&cluster, 0),
+            vec![vec![bounded, unbounded, crossing], vec![]]
+        );
+        assert_eq!(placed(&cluster, 1), vec![vec![late], vec![]]);
+        // The servers hold exactly those images.
         assert!(snapshot_consistent(&mut cluster, StoreKind::Source, &pre).unwrap());
+        let mut reordered = pre.clone();
+        reordered[0].swap(0, 2);
+        assert!(!snapshot_consistent(&mut cluster, StoreKind::Source, &reordered).unwrap());
     }
 
     #[test]

@@ -5,17 +5,18 @@
 //! session confines every shared-interval match to one timeline partition
 //! and keeps its fact lists as settled + delta blocks. With
 //! `ChaseEngine::Distributed` it stays the coordinator loop — union-find,
-//! restricted checks and normalization remain local — and ships the lists
-//! to **partition servers** that enumerate the delta-touching matches of
-//! the partitions they own. A one-shot distributed chase
+//! restricted checks and normalization remain local — and ships each fact
+//! to the one **partition server** owning the partition its interval
+//! starts in; the servers enumerate the delta-touching matches of the
+//! facts they hold. A one-shot distributed chase
 //! ([`c_chase_distributed_with`]) is a one-batch session. The layers,
 //! bottom up:
 //!
-//! * [`protocol`] — the v4 message shapes and their byte codec
+//! * [`protocol`] — the v6 message shapes and their byte codec
 //!   ([`tdx_storage::codec`]): `Hello` (the [`ServerConfig`] handshake),
 //!   delta-only `ApplyDelta` against a retained-prefix watermark, the
-//!   fused `TgdRoundFused`/`EgdRoundFused` rounds, `Snapshot`, `Ping`,
-//!   `Resume`, `Shutdown`.
+//!   fused `TgdRoundFused`/`EgdRoundFused` rounds, `Ping`, `Resume`,
+//!   `Shutdown`.
 //! * [`server`] — the server state machine and its carrier loops: behind
 //!   an in-process channel pair, or behind a TCP connection (the
 //!   `tdx serve-partition` subcommand).

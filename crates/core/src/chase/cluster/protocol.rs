@@ -9,11 +9,13 @@
 //!
 //! # The message sequence
 //!
-//! A server's lifetime is: one [`Message::Hello`] carrying its
+//! A server's lifetime is: one [`Message::Hello`] carrying the
 //! [`ServerConfig`] (the process-start arguments of an out-of-process
-//! server: schemas, dependency bodies, the timeline partition, its owned
-//! blocks), then any number of rounds, then [`Message::Shutdown`]. Rounds
-//! are built from:
+//! server: schemas and dependency bodies, identical for every server),
+//! then any number of rounds, then [`Message::Shutdown`]. Which facts a
+//! server holds is decided by the coordinator alone: it routes every fact
+//! to the server owning the timeline partition its interval starts in, so
+//! a server needs no partition of its own. Rounds are built from:
 //!
 //! * [`Message::ApplyDelta`] — sync the server's fact lists for one store.
 //!   Shipping is **delta-only**: the server retains its previous image
@@ -30,10 +32,8 @@
 //! * [`Message::TgdRoundFused`] / [`Message::EgdRoundFused`] — the **fused
 //!   rounds**: apply a sync program to the `Source` (resp. `Target`) store
 //!   and enumerate the delta-touching tgd (resp. egd) body matches of the
-//!   owned partitions, in one round trip. Normalization stays on the
+//!   retained image, in one round trip. Normalization stays on the
 //!   coordinator, so a steady-state round costs one barrier per server.
-//! * [`Message::Snapshot`] — audit view of the server's owner and replica
-//!   facts.
 //! * [`Message::Ping`] — liveness heartbeat, answered by
 //!   [`Response::Pong`].
 //! * [`Message::Resume`] — the v3 reconnect handshake: a restarted
@@ -41,7 +41,8 @@
 //!   retained-image watermark digests ([`Response::ResumeState`]). On a
 //!   full match the coordinator adopts the server's images as its shipped
 //!   caches — no re-ship; any mismatch falls back to `Hello` + full
-//!   re-ship.
+//!   re-ship. The same digests are the cluster's consistency audit
+//!   ([`snapshot_consistent`](super::coordinator::snapshot_consistent)).
 //!
 //! Variables in homomorphism bindings travel by name, string constants as
 //! text — intern ids are process-local and never appear on the wire.
@@ -50,7 +51,7 @@ use std::sync::Arc;
 use tdx_logic::{Atom, Schema, SchemaMapping, Var};
 use tdx_storage::codec::{ByteReader, ByteWriter, CodecError, Wire};
 use tdx_storage::{TemporalFact, Value};
-use tdx_temporal::{Interval, TimelinePartition};
+use tdx_temporal::Interval;
 
 /// Per-relation fact lists — the unit `ApplyDelta` ships and servers
 /// retain.
@@ -79,7 +80,13 @@ pub type FactLists = Vec<Vec<TemporalFact>>;
 ///
 /// v5: servers run the session's dirty-interval join kernel, which takes
 /// no matcher options, so [`ServerConfig`] no longer carries them.
-pub const PROTOCOL_VERSION: u32 = 5;
+///
+/// v6: owner-only routing. Every fact lives on the one server owning the
+/// partition its interval starts in, so [`ServerConfig`] carries neither
+/// the timeline partition nor owned blocks, the fused responses drop their
+/// partition tags, and the `Snapshot`/`Facts` audit frames are gone (the
+/// `Resume` digests audit the retained images instead).
+pub const PROTOCOL_VERSION: u32 = 6;
 
 /// Writes this build's [`PROTOCOL_VERSION`] stamp.
 fn write_version(w: &mut ByteWriter) {
@@ -123,17 +130,13 @@ impl StoreKind {
 
 /// A partition server's spawn-time configuration — the handshake payload of
 /// [`Message::Hello`], and the process-start arguments of an out-of-process
-/// server.
+/// server. Every server of a cluster gets the same one.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ServerConfig {
     /// Source schema (relation layout of the `Source` store).
     pub(crate) src_schema: Arc<Schema>,
     /// Target schema (relation layout of the `Target` store).
     pub(crate) tgt_schema: Arc<Schema>,
-    /// The timeline partition the cluster was cut over.
-    pub(crate) tp: TimelinePartition,
-    /// Partitions this server owns, ascending.
-    pub(crate) owned: Vec<usize>,
     /// S-t tgd bodies, in mapping order.
     pub(crate) tgd_bodies: Vec<Vec<Atom>>,
     /// Egd bodies with their lhs/rhs variables, in mapping order.
@@ -141,22 +144,12 @@ pub struct ServerConfig {
 }
 
 impl ServerConfig {
-    /// The configuration of server `s` in an `servers`-wide cluster over
-    /// `tp`: contiguous balanced partition blocks
-    /// ([`TimelinePartition::server_of`]), dependency bodies and schemas
-    /// from the mapping.
-    pub fn for_server(
-        mapping: &SchemaMapping,
-        tp: &TimelinePartition,
-        s: usize,
-        servers: usize,
-    ) -> ServerConfig {
-        let assignment = tp.server_assignment(servers);
+    /// The configuration of every server of a cluster chasing `mapping`:
+    /// its schemas and dependency bodies.
+    pub fn for_server(mapping: &SchemaMapping) -> ServerConfig {
         ServerConfig {
             src_schema: Arc::new(mapping.source().clone()),
             tgt_schema: Arc::new(mapping.target().clone()),
-            tp: tp.clone(),
-            owned: (0..tp.len()).filter(|&p| assignment[p] == s).collect(),
             tgd_bodies: mapping.st_tgds().iter().map(|t| t.body.clone()).collect(),
             egds: mapping
                 .egds()
@@ -165,22 +158,12 @@ impl ServerConfig {
                 .collect(),
         }
     }
-
-    /// Whether this server owns the partition `iv` starts in — the owner
-    /// of every shared match at `iv`.
-    pub(crate) fn owns(&self, iv: &Interval) -> bool {
-        self.owned
-            .binary_search(&self.tp.part_of(iv.start()))
-            .is_ok()
-    }
 }
 
 impl Wire for ServerConfig {
     fn write(&self, w: &mut ByteWriter) {
         self.src_schema.write(w);
         self.tgt_schema.write(w);
-        self.tp.write(w);
-        self.owned.write(w);
         self.tgd_bodies.write(w);
         self.egds.write(w);
     }
@@ -188,8 +171,6 @@ impl Wire for ServerConfig {
         Ok(ServerConfig {
             src_schema: Arc::new(Schema::read(r)?),
             tgt_schema: Arc::new(Schema::read(r)?),
-            tp: TimelinePartition::read(r)?,
-            owned: Wire::read(r)?,
             tgd_bodies: Wire::read(r)?,
             egds: Wire::read(r)?,
         })
@@ -241,18 +222,12 @@ pub enum Message {
         /// Per relation: the sync program against the retained image.
         sync: Vec<RelationSync>,
     },
-    /// Return the server's owner and replica facts for `store`; respond
-    /// with [`Response::Facts`].
-    Snapshot {
-        /// Store addressed.
-        store: StoreKind,
-    },
     /// Liveness probe; respond with [`Response::Pong`].
     Ping,
     /// Terminate the server loop; respond with [`Response::Stopped`].
     Shutdown,
     /// Fused round: sync the `Source` store, then enumerate the
-    /// delta-touching tgd matches of the owned partitions. Respond with
+    /// delta-touching tgd matches of the retained image. Respond with
     /// [`Response::TgdFused`].
     TgdRoundFused {
         /// Per relation: the sync program against the retained image.
@@ -281,14 +256,6 @@ pub type Hom = (Vec<(Var, Value)>, Interval);
 /// One merge operation: `(egd index, lhs value, rhs value, interval)`.
 pub type MergeOp = (u32, Value, Value, Interval);
 
-/// A partition's merge operations, tagged with its index for the
-/// coordinator's deterministic ascending fold.
-pub type PartitionMerges = (u64, Vec<MergeOp>);
-
-/// A partition's homomorphisms (per tgd), tagged with its index for the
-/// coordinator's deterministic ascending fold.
-pub type PartitionHoms = (u64, Vec<Vec<WireHom>>);
-
 /// A server → coordinator response.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Response {
@@ -296,29 +263,22 @@ pub enum Response {
     Ready,
     /// [`Message::ApplyDelta`] acknowledged.
     Applied,
-    /// Owner facts and replica facts, per relation.
-    Facts {
-        /// Facts whose owner partition this server owns.
-        owned: FactLists,
-        /// Boundary replicas of facts owned by other servers.
-        replicas: FactLists,
-    },
     /// [`Message::Ping`] acknowledged; the server loop is alive.
     Pong,
     /// [`Message::Shutdown`] acknowledged; the server loop has exited.
     Stopped,
-    /// [`Message::TgdRoundFused`] result: per owned partition (ascending),
-    /// per tgd, the enumerated homomorphisms.
+    /// [`Message::TgdRoundFused`] result: per tgd, the enumerated
+    /// homomorphisms in ascending interval order.
     TgdFused {
-        /// The homomorphisms, tagged with their partition.
-        homs: Vec<PartitionHoms>,
+        /// The homomorphisms, one list per tgd.
+        homs: Vec<Vec<WireHom>>,
     },
-    /// [`Message::EgdRoundFused`] result: per owned partition (ascending),
-    /// the `(egd index, lhs, rhs, interval)` merge operations in
-    /// enumeration order.
+    /// [`Message::EgdRoundFused`] result: the `(egd index, lhs, rhs,
+    /// interval)` merge operations in enumeration order (per egd,
+    /// ascending interval).
     EgdFused {
-        /// The merge operations, tagged with their partition.
-        merges: Vec<PartitionMerges>,
+        /// The merge operations.
+        merges: Vec<MergeOp>,
     },
     /// [`Message::Resume`] result: what this server still holds, as
     /// digests. A reconnecting coordinator compares `config` against
@@ -332,7 +292,7 @@ pub enum Response {
         /// [`config_digest`] of the server's `Hello` configuration.
         config: u64,
         /// [`image_digest`] of the retained image per store
-        /// (`[Source, Target]`, [`StoreKind::idx`] order).
+        /// (`[Source, Target]`, `StoreKind::idx` order).
         images: [u64; 2],
     },
 }
@@ -429,10 +389,6 @@ impl Wire for Message {
                 store.write(w);
                 sync.write(w);
             }
-            Message::Snapshot { store } => {
-                w.u8(4);
-                store.write(w);
-            }
             Message::Ping => {
                 w.u8(5);
                 write_version(w);
@@ -459,9 +415,6 @@ impl Wire for Message {
                 store: StoreKind::read(r)?,
                 sync: Wire::read(r)?,
             }),
-            4 => Ok(Message::Snapshot {
-                store: StoreKind::read(r)?,
-            }),
             5 => {
                 read_version(r)?;
                 Ok(Message::Ping)
@@ -484,11 +437,6 @@ impl Wire for Response {
         match self {
             Response::Ready => w.u8(0),
             Response::Applied => w.u8(1),
-            Response::Facts { owned, replicas } => {
-                w.u8(4);
-                owned.write(w);
-                replicas.write(w);
-            }
             Response::Pong => w.u8(5),
             Response::Stopped => w.u8(6),
             Response::TgdFused { homs } => {
@@ -516,10 +464,6 @@ impl Wire for Response {
         match r.u8()? {
             0 => Ok(Response::Ready),
             1 => Ok(Response::Applied),
-            4 => Ok(Response::Facts {
-                owned: Wire::read(r)?,
-                replicas: Wire::read(r)?,
-            }),
             5 => Ok(Response::Pong),
             6 => Ok(Response::Stopped),
             7 => Ok(Response::TgdFused {
@@ -544,7 +488,6 @@ mod tests {
     use tdx_logic::{parse_mapping, Term};
     use tdx_storage::codec::{decode, encode};
     use tdx_storage::{row, NullId};
-    use tdx_temporal::Breakpoints;
 
     fn iv(s: u64, e: u64) -> Interval {
         Interval::new(s, e)
@@ -559,8 +502,7 @@ mod tests {
              egd Emp(n,c,s) & Emp(n,c,s2) -> s = s2",
         )
         .unwrap();
-        let tp = TimelinePartition::new(&Breakpoints::from_points([5, 12, 30]));
-        ServerConfig::for_server(&mapping, &tp, 1, 2)
+        ServerConfig::for_server(&mapping)
     }
 
     fn sample_fact() -> TemporalFact {
@@ -603,9 +545,6 @@ mod tests {
                     },
                 ],
             },
-            Message::Snapshot {
-                store: StoreKind::Source,
-            },
             Message::Ping,
             Message::Shutdown,
             Message::TgdRoundFused {
@@ -631,23 +570,16 @@ mod tests {
         let resps = [
             Response::Ready,
             Response::Applied,
-            Response::Facts {
-                owned: vec![vec![fact.clone()]],
-                replicas: vec![vec![]],
-            },
             Response::Pong,
             Response::Stopped,
             Response::TgdFused {
-                homs: vec![(
-                    2,
-                    vec![vec![(vec![("c".to_string(), Value::str("IBM"))], iv(3, 7))]],
-                )],
+                homs: vec![
+                    vec![(vec![("c".to_string(), Value::str("IBM"))], iv(3, 7))],
+                    vec![],
+                ],
             },
             Response::EgdFused {
-                merges: vec![(
-                    1,
-                    vec![(0, Value::Null(NullId(2)), Value::str("20k"), iv(1, 4))],
-                )],
+                merges: vec![(0, Value::Null(NullId(2)), Value::str("20k"), iv(1, 4))],
             },
             Response::ResumeState {
                 configured: true,
@@ -682,12 +614,12 @@ mod tests {
             image_digest(&image),
             image_digest(&vec![Vec::new(), Vec::new()])
         );
-        // Config digests separate different server slots of one cluster.
+        // Config digests separate different mappings.
         let cfg = sample_config();
         assert_eq!(config_digest(&cfg), config_digest(&cfg.clone()));
-        let mut other_slot = cfg.clone();
-        other_slot.owned = vec![0];
-        assert_ne!(config_digest(&cfg), config_digest(&other_slot));
+        let mut other = cfg.clone();
+        other.egds.clear();
+        assert_ne!(config_digest(&cfg), config_digest(&other));
     }
 
     #[test]
@@ -704,15 +636,19 @@ mod tests {
             w.u32(version);
             [w.into_bytes(), cfg.clone()].concat()
         };
-        let (v3, v4) = (stamped(3), stamped(4));
-        for frame in [&unstamped, &v3, &v4] {
+        let (v3, v4, v5) = (stamped(3), stamped(4), stamped(5));
+        for frame in [&unstamped, &v3, &v4, &v5] {
             let err = decode::<Message>(frame).unwrap_err();
             assert!(
                 err.0.starts_with("protocol version mismatch"),
                 "unexpected error: {err}"
             );
         }
-        for (frame, peer) in [(&v3, "peer speaks v3"), (&v4, "peer speaks v4")] {
+        for (frame, peer) in [
+            (&v3, "peer speaks v3"),
+            (&v4, "peer speaks v4"),
+            (&v5, "peer speaks v5"),
+        ] {
             assert!(decode::<Message>(frame).unwrap_err().0.contains(peer));
         }
         // This build's own Hello still round-trips.
@@ -771,9 +707,9 @@ mod tests {
                 .collect()
         };
         for case in 0..200u64 {
-            let msg = match case % 8 {
+            let msg = match case % 7 {
                 0 => Message::Hello(sample_config()),
-                7 => Message::Resume,
+                3 => Message::Resume,
                 1 => {
                     let sync = rand_sync(&mut rng);
                     Message::ApplyDelta {
@@ -786,9 +722,6 @@ mod tests {
                     }
                 }
                 2 => Message::Shutdown,
-                3 => Message::Snapshot {
-                    store: StoreKind::Target,
-                },
                 4 => Message::Ping,
                 5 => Message::TgdRoundFused {
                     sync: rand_sync(&mut rng),

@@ -1,8 +1,8 @@
 //! The partition-server side of the protocol: decode a request, update the
 //! retained fact image or enumerate matches, encode the response.
 //!
-//! [`ServerState`] is carrier-agnostic — the same state machine runs behind
-//! an in-process channel pair ([`serve_channel`]) and a TCP stream
+//! `ServerState` is carrier-agnostic — the same state machine runs behind
+//! an in-process channel pair (`serve_channel`) and a TCP stream
 //! ([`serve_stream`], reached from the hidden `tdx serve-partition`
 //! subcommand via [`serve_connect`], or from its durable `--listen` mode
 //! via [`serve_listen`], which retains the state across successive control
@@ -21,19 +21,19 @@
 //! the shipped ones — and records the shipped pre/delta boundary; only
 //! genuinely new facts cross the wire. A fused round then runs the
 //! session's own join kernel (`shared_join_delta` of
-//! `chase/partitioned.rs`) over the image split at that boundary, on the dirty intervals whose
-//! start partition this server owns. A shared match lives at one interval
-//! and every fact of it carries that interval, so the owner of the start
-//! partition holds the whole match and the owner split is exact; routing
+//! `chase/partitioned.rs`) over the image split at that boundary, on every
+//! dirty interval of it. The coordinator routes each fact only to the
+//! owner of the partition its interval starts in, and a shared match lives
+//! at one interval that every fact of it carries, so one server holds the
+//! whole match and the servers split the matches exactly; routing
 //! preserves list order, so the server enumerates its intervals exactly
 //! as the session would.
 
 use super::protocol::{
-    config_digest, image_digest, FactLists, Message, PartitionHoms, PartitionMerges, RelationSync,
-    Response, ServerConfig, StoreKind, SyncOp, WireHom,
+    config_digest, image_digest, FactLists, MergeOp, Message, RelationSync, Response, ServerConfig,
+    StoreKind, SyncOp, WireHom,
 };
 use crate::chase::partitioned::{egd_ops, shared_join_delta, DirtyIndex, EgdPlan, JoinPlan};
-use std::collections::BTreeMap;
 use std::io;
 use std::net::{TcpListener, TcpStream};
 use std::sync::mpsc::{Receiver, Sender};
@@ -130,33 +130,14 @@ impl ServerState {
                 // One barrier on the coordinator: sync, then enumerate.
                 self.apply_sync(StoreKind::Source, sync)?;
                 Ok(Response::TgdFused {
-                    homs: self.tgd_homs()?,
+                    homs: self.tgd_homs(),
                 })
             }
             Message::EgdRoundFused { sync } => {
                 self.apply_sync(StoreKind::Target, sync)?;
                 Ok(Response::EgdFused {
-                    merges: self.egd_merges()?,
+                    merges: self.egd_merges(),
                 })
-            }
-            Message::Snapshot { store } => {
-                // Facts starting in an owned partition are this server's
-                // owner facts, the rest are boundary replicas.
-                let cfg = self.cfg()?;
-                let image = &self.image[store.idx()];
-                let mut owned: FactLists = vec![Vec::new(); image.len()];
-                let mut replicas: FactLists = vec![Vec::new(); image.len()];
-                for (r, facts) in image.iter().enumerate() {
-                    for fact in facts {
-                        let side = if cfg.owns(&fact.interval) {
-                            &mut owned
-                        } else {
-                            &mut replicas
-                        };
-                        side[r].push(fact.clone());
-                    }
-                }
-                Ok(Response::Facts { owned, replicas })
             }
         }
     }
@@ -260,46 +241,37 @@ impl ServerState {
             .unzip()
     }
 
-    /// Enumerates the delta-touching tgd body matches at the dirty
-    /// intervals this server owns, grouped per start partition
-    /// (ascending).
-    fn tgd_homs(&self) -> Result<Vec<PartitionHoms>, String> {
-        let cfg = self.cfg()?;
+    /// Enumerates the delta-touching tgd body matches of the retained
+    /// source image, per tgd, in ascending interval order.
+    fn tgd_homs(&self) -> Vec<Vec<WireHom>> {
         let (pre, delta) = self.split(StoreKind::Source);
-        let idx = DirtyIndex::build(&pre, &delta, |iv| cfg.owns(iv));
-        let mut parts: BTreeMap<u64, Vec<Vec<WireHom>>> = BTreeMap::new();
-        for (ti, plan) in self.tgds.iter().enumerate() {
-            shared_join_delta(plan, &pre, &delta, &idx, |vals, iv| {
-                let binding = plan
-                    .vars
-                    .iter()
-                    .zip(vals)
-                    .map(|(v, val)| (v.name().to_string(), *val))
-                    .collect();
-                parts
-                    .entry(cfg.tp.part_of(iv.start()) as u64)
-                    .or_insert_with(|| vec![Vec::new(); self.tgds.len()])[ti]
-                    .push((binding, iv));
-            });
-        }
-        Ok(parts.into_iter().collect())
+        let idx = DirtyIndex::build(&pre, &delta);
+        self.tgds
+            .iter()
+            .map(|plan| {
+                let mut homs = Vec::new();
+                shared_join_delta(plan, &pre, &delta, &idx, |vals, iv| {
+                    let binding = plan
+                        .vars
+                        .iter()
+                        .zip(vals)
+                        .map(|(v, val)| (v.name().to_string(), *val))
+                        .collect();
+                    homs.push((binding, iv));
+                });
+                homs
+            })
+            .collect()
     }
 
-    /// Enumerates the merge ops of the delta-touching egd body matches at
-    /// the dirty intervals this server owns, grouped per start partition
-    /// (ascending).
-    fn egd_merges(&self) -> Result<Vec<PartitionMerges>, String> {
-        let cfg = self.cfg()?;
+    /// Enumerates the merge ops of the delta-touching egd body matches of
+    /// the retained target image, per egd in ascending interval order.
+    fn egd_merges(&self) -> Vec<MergeOp> {
         let (pre, delta) = self.split(StoreKind::Target);
-        let idx = DirtyIndex::build(&pre, &delta, |iv| cfg.owns(iv));
-        let mut parts: BTreeMap<u64, Vec<super::protocol::MergeOp>> = BTreeMap::new();
-        egd_ops(&self.egds, &pre, &delta, &idx, |op| {
-            parts
-                .entry(cfg.tp.part_of(op.3.start()) as u64)
-                .or_default()
-                .push(op);
-        });
-        Ok(parts.into_iter().collect())
+        let idx = DirtyIndex::build(&pre, &delta);
+        let mut merges = Vec::new();
+        egd_ops(&self.egds, &pre, &delta, &idx, |op| merges.push(op));
+        merges
     }
 
     /// Test/audit access: the retained image of `store`, per relation.
@@ -478,7 +450,7 @@ mod tests {
     use crate::chase::cluster::protocol::RelationSync;
     use tdx_logic::parse_mapping;
     use tdx_storage::{row, TemporalFact, Value};
-    use tdx_temporal::{Breakpoints, Interval, TimelinePartition};
+    use tdx_temporal::Interval;
 
     fn config() -> ServerConfig {
         let mapping = parse_mapping(
@@ -488,8 +460,7 @@ mod tests {
              egd Emp(n,c,s) & Emp(n,c,s2) -> s = s2",
         )
         .unwrap();
-        let tp = TimelinePartition::new(&Breakpoints::from_points([10, 20]));
-        ServerConfig::for_server(&mapping, &tp, 0, 1)
+        ServerConfig::for_server(&mapping)
     }
 
     fn fact(name: &str, company: &str, iv: Interval) -> TemporalFact {

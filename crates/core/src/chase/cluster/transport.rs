@@ -15,7 +15,7 @@
 //!   binary can be located (unit tests of a library crate, bench binaries),
 //!   it degrades to an in-process thread serving the same TCP connection —
 //!   same sockets, same frames, no child process — and says so via
-//!   [`TcpPeer`].
+//!   `TcpPeer`.
 //!
 //! Durable sessions use a third spawner, [`DurableTcpSpawner`]: servers
 //! run in *listen* mode, publish their addresses into the session's state

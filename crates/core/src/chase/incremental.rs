@@ -12,7 +12,7 @@
 //!
 //! 1. **Incremental renormalization.** The batch's facts join the
 //!    normalized source's delta block and run through the
-//!    [`refragment_lists`] fixpoint the egd rounds use too: Algorithm-1
+//!    `refragment_lists` fixpoint the egd rounds use too: Algorithm-1
 //!    cut discovery restricted to images touching a *fresh* fact, so
 //!    long-settled source facts are only re-fragmented when a new fact
 //!    actually joins them.
@@ -38,7 +38,7 @@
 //!    block; egd matching is again dirty-interval scoped and
 //!    delta-restricted, each round folds its merge ops in (egd, interval)
 //!    order through the coordinator's `fold_merge_ops` into an annotated
-//!    union-find, rewrites and re-fragments via [`refragment_lists`]. A match among
+//!    union-find, rewrites and re-fragments via `refragment_lists`. A match among
 //!    settled facts needs no revisit: the previous batch left them at an
 //!    egd fixpoint, so re-enumerating it would find both sides already
 //!    equal — the semi-naive argument of the egd rounds, carried across
@@ -57,7 +57,7 @@
 //! The session is the one production chase engine: a one-shot
 //! [`c_chase_with`](crate::chase::concrete::c_chase_with) on the
 //! partitioned or distributed engine opens a fresh session and applies the
-//! whole source as one batch ([`IncrementalExchange::chase_one_batch`]) —
+//! whole source as one batch (`IncrementalExchange::chase_one_batch`) —
 //! against empty settled lists every fact is fresh, so the delta-scoped
 //! phases above are exactly the full chase.
 //!
@@ -989,7 +989,7 @@ impl IncrementalExchange {
             None
         };
         let src_idx = if cluster_homs.is_none() {
-            Some(DirtyIndex::build(&npre, &ndelta, |_| true))
+            Some(DirtyIndex::build(&npre, &ndelta))
         } else {
             None
         };
@@ -1121,7 +1121,7 @@ impl IncrementalExchange {
                 let ops: Vec<MergeOp> = if self.servers > 0 {
                     self.distributed_egd_round(&pre, &delta)?
                 } else {
-                    let idx = DirtyIndex::build(&pre, &delta, |_| true);
+                    let idx = DirtyIndex::build(&pre, &delta);
                     let mut ops = Vec::new();
                     egd_ops(&self.egd_plans, &pre, &delta, &idx, |op| ops.push(op));
                     ops

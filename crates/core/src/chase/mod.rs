@@ -2,7 +2,7 @@
 //!
 //! * [`snapshot`] — the classical relational chase of Fagin et al. on one
 //!   snapshot: s-t tgd steps followed by egd steps;
-//! * [`abstract_chase`] — Section 3: the chase applied to every snapshot of
+//! * [`abstract_chase`](mod@abstract_chase) — Section 3: the chase applied to every snapshot of
 //!   an abstract instance independently, with fresh nulls per snapshot
 //!   (per-point null families per epoch);
 //! * [`concrete`] — Section 4.3: the **c-chase** on concrete instances,
@@ -110,7 +110,7 @@ pub(crate) const DEFAULT_DEADLINE_MS: u64 = 10_000;
 /// behavior). `None` falls back to `TDX_CHASE_DEADLINE_MS`, where `0`
 /// likewise disables and a non-numeric value is reported once to stderr
 /// (like [`worker_threads`]) before falling back to the
-/// [`DEFAULT_DEADLINE_MS`] default. Note the zero semantics differ from
+/// `DEFAULT_DEADLINE_MS` default. Note the zero semantics differ from
 /// the thread/server knobs: a count of `0` means "auto-detect", but a
 /// deadline of `0` can only sensibly mean "no deadline".
 pub fn frame_deadline(requested: Option<std::time::Duration>) -> Option<std::time::Duration> {

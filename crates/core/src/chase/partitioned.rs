@@ -15,9 +15,10 @@
 //!   match that touches the delta block. A c-chase step maps the shared
 //!   temporal variable `t` of `φ⁺(x̄, t)` to *one* interval, so every match
 //!   lives at a single interval — one some delta fact carries. The session
-//!   joins over all dirty intervals; a partition server runs the same join
-//!   over its retained image, restricted to the dirty intervals whose start
-//!   partition it owns, which splits the work exactly;
+//!   joins over all dirty intervals of its lists; a partition server runs
+//!   the same join over its retained image, which holds exactly the facts
+//!   starting in its partitions, so every match lives on one server and
+//!   the servers split the work exactly;
 //! * **Algorithm-1 re-fragmentation** ([`refragment_lists`]): overlap
 //!   images are discovered only where they touch a *fresh* fact — a sweep
 //!   join per 2-atom conjunction, the pivot-bounded generic matcher over
@@ -186,20 +187,12 @@ pub(crate) struct DirtyIndex {
 }
 
 impl DirtyIndex {
-    /// Indexes the dirty intervals `keep` admits: all of them for a
-    /// session, the ones whose start partition it owns for a partition
-    /// server.
-    pub(crate) fn build<L: AsRef<[TemporalFact]>>(
-        pre: &[L],
-        delta: &[L],
-        keep: impl Fn(&Interval) -> bool,
-    ) -> DirtyIndex {
+    /// Indexes every interval some delta fact carries.
+    pub(crate) fn build<L: AsRef<[TemporalFact]>>(pre: &[L], delta: &[L]) -> DirtyIndex {
         let mut dirty: FxHashSet<Interval> = Default::default();
         for facts in delta {
             for fact in facts.as_ref() {
-                if keep(&fact.interval) {
-                    dirty.insert(fact.interval);
-                }
+                dirty.insert(fact.interval);
             }
         }
         let mut buckets: Vec<FxHashMap<Interval, Vec<(u32, bool)>>> = Vec::with_capacity(pre.len());

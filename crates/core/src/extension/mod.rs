@@ -5,7 +5,7 @@
 //!   revisiting "the classical data exchange problems … such as the notion
 //!   of core"; we compute snapshot cores and their pointwise lifting to
 //!   concrete instances;
-//! * [`temporal_chase`] — a chase for **temporal (modal) s-t tgds**
+//! * [`temporal_chase`](mod@temporal_chase) — a chase for **temporal (modal) s-t tgds**
 //!   (`◇⁻`, `□⁻`, `◇⁺`, `□⁺` heads), the extension the paper sketches with
 //!   its PhD-candidate example. The paper explicitly leaves the right
 //!   notion of universal solution open; this module materializes *a*

@@ -10,10 +10,10 @@
 //!
 //! | Paper | Module |
 //! |-------|--------|
-//! | §2 abstract/concrete views, `⟦·⟧` | [`abstract_view`], [`semantics`] |
-//! | §3 abstract chase, homomorphisms, universal solutions | [`chase::abstract_chase`], [`hom`] |
+//! | §2 abstract/concrete views, `⟦·⟧` | [`abstract_view`], [`semantics`](mod@semantics) |
+//! | §3 abstract chase, homomorphisms, universal solutions | [`chase::abstract_chase`](mod@chase::abstract_chase), [`hom`] |
 //! | §4.1 interval-annotated nulls | `tdx_storage::NullId` + fact intervals |
-//! | §4.2 normalization (naïve + Algorithm 1) | [`normalize`] |
+//! | §4.2 normalization (naïve + Algorithm 1) | [`normalize`](mod@normalize) |
 //! | §4.3 the c-chase | [`chase::concrete`] |
 //! | §5 naïve evaluation, certain answers | [`query`] |
 //! | Prop. 4, Thm. 19, Cor. 20, Thm. 21, Cor. 22 | [`verify`], [`query::certain`] |
@@ -69,7 +69,7 @@
 //! | [`chase::incremental`] | the session engine: delta-scoped tgd/egd phases |
 //! | `chase::partitioned` | fact-list kernels (dirty-interval join, sweep and pivot-bounded discovery, rewriting) |
 //! | [`chase::cluster`] | partition-server protocol, transports, coordinator kernel |
-//! | [`normalize`], [`query`] | overlap-index group discovery, engine-threaded eval |
+//! | [`normalize`](mod@normalize), [`query`] | overlap-index group discovery, engine-threaded eval |
 //!
 //! ## Quick start
 //!

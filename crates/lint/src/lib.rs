@@ -13,7 +13,7 @@
 //! 2. **Protocol exhaustiveness** (`protocol`): every `Message`/`Response`
 //!    variant must have an encode arm and a decode arm in its `Wire`
 //!    impl, a handler arm in `server.rs`, and an entry in the chaos/fault
-//!    test matrix. Adding a v4 frame without full coverage fails CI.
+//!    test matrix. Adding a frame without full coverage fails CI.
 //! 3. **Panic-free fault paths** (`panic`, `index`): `unwrap()`,
 //!    `expect(`, `panic!` and panicking slice operations are denied in
 //!    the transport/coordinator/chaos/WAL/durable files, whose job is to

@@ -12,7 +12,7 @@
 //! The encoding is bincode-style: fixed-width little-endian integers, a
 //! `u64` length prefix for sequences, one tag byte for enums. String
 //! constants travel as their text (not their process-local
-//! [`Symbol`](tdx_logic::Symbol) ids — intern ids are meaningless across
+//! [`Symbol`] ids — intern ids are meaningless across
 //! process boundaries) and are re-interned on decode.
 
 use crate::matcher::SearchOptions;
@@ -195,7 +195,7 @@ pub fn decode<T: Wire>(bytes: &[u8]) -> Result<T, CodecError> {
 
 /// Upper bound on a framed message (1 GiB). A length prefix beyond it is
 /// treated as stream corruption rather than an allocation request — the
-/// same defensive stance [`ByteReader::take`] applies to in-message length
+/// same defensive stance `ByteReader::take` applies to in-message length
 /// prefixes.
 pub const MAX_FRAME_LEN: usize = 1 << 30;
 

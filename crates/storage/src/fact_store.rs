@@ -9,7 +9,7 @@
 //!   lazily-synced `ColIndex` — updates ride along with every insert, so
 //!   readers never pay a sync check and need no interior mutability;
 //! * an interval-endpoint index
-//!   ([`IntervalIndex`](tdx_temporal::IntervalIndex)) answering *exact*
+//!   ([`IntervalIndex`]) answering *exact*
 //!   probes (the shared chase variable `t`), *overlap* probes (Algorithm 1's
 //!   candidate-set condition) and incremental endpoint enumeration;
 //! * a **generation log**: [`FactStore::mark`] seals the current contents

@@ -181,45 +181,22 @@ impl TimelinePartition {
         (lo, hi)
     }
 
-    /// Whether `iv` crosses a boundary (overlaps more than one range).
-    pub fn crosses(&self, iv: &Interval) -> bool {
-        let (lo, hi) = self.parts_overlapping(iv);
-        lo != hi
-    }
-
     /// The server owning range `part` when the partition's ranges are
     /// distributed over `servers` partition servers as contiguous,
     /// balanced blocks: server `s` owns the ranges `p` with
     /// `p * servers / len` equal to `s`, so block sizes differ by at most
     /// one and the assignment depends only on `(len, servers)` — never on
     /// which server happens to ask. Contiguity matters for the distributed
-    /// chase: a boundary-crossing fact (an unbounded interval crosses
-    /// every boundary after its start) is replicated exactly to the
-    /// servers owning the ranges it overlaps, and a contiguous assignment
-    /// makes that replica set a contiguous server range too.
+    /// chase: every fact lives on the owner of the range its interval
+    /// starts in, so a server holds an ascending run of start points, and
+    /// concatenating the servers' enumerations in server order yields the
+    /// ascending interval order a single process would produce.
     pub fn server_of(&self, part: usize, servers: usize) -> usize {
         assert!(part < self.len(), "partition index out of range");
         if servers <= 1 {
             return 0;
         }
         (part * servers.min(self.len())) / self.len()
-    }
-
-    /// The full partition → server map for `servers` servers (see
-    /// [`TimelinePartition::server_of`]).
-    pub fn server_assignment(&self, servers: usize) -> Vec<usize> {
-        (0..self.len())
-            .map(|p| self.server_of(p, servers))
-            .collect()
-    }
-
-    /// The servers owning at least one range that `iv` overlaps — the
-    /// replica set a boundary-crossing fact is shipped to. For an
-    /// unbounded interval this extends to the last server with any owned
-    /// range.
-    pub fn servers_overlapping(&self, iv: &Interval, servers: usize) -> (usize, usize) {
-        let (lo, hi) = self.parts_overlapping(iv);
-        (self.server_of(lo, servers), self.server_of(hi, servers))
     }
 
     /// How unevenly `points` distribute over the ranges: the largest
@@ -422,8 +399,6 @@ mod tests {
         assert_eq!(tp.parts_overlapping(&iv(5, 15)), (0, 1));
         assert_eq!(tp.parts_overlapping(&iv(10, 20)), (1, 1));
         assert_eq!(tp.parts_overlapping(&Interval::from(3)), (0, 2));
-        assert!(!tp.crosses(&iv(10, 20)));
-        assert!(tp.crosses(&iv(9, 11)));
         // A boundary at 0 is dropped.
         let tp = TimelinePartition::new(&Breakpoints::from_points([0, 4]));
         assert_eq!(tp.len(), 2);
@@ -455,7 +430,7 @@ mod tests {
             let bps = Breakpoints::from_points((1..parts as u64).map(|k| 10 * k));
             let tp = TimelinePartition::new(&bps);
             assert_eq!(tp.len(), parts);
-            let assign = tp.server_assignment(servers);
+            let assign: Vec<usize> = (0..parts).map(|p| tp.server_of(p, servers)).collect();
             assert_eq!(assign.len(), parts);
             // Monotone (contiguous blocks), starting at server 0.
             assert_eq!(assign[0], 0);
@@ -478,22 +453,22 @@ mod tests {
     #[test]
     fn unbounded_intervals_span_the_server_tail() {
         // An unbounded interval crosses every boundary after its start, so
-        // its replica set must reach the last server.
+        // its ranges run to the last one, which the last server owns; the
+        // fact itself lives only on the owner of its start range.
         let tp = TimelinePartition::new(&Breakpoints::from_points([10, 20, 30]));
         let unbounded = Interval::from(15);
         assert!(unbounded.is_unbounded());
-        assert!(tp.crosses(&unbounded));
         assert_eq!(tp.parts_overlapping(&unbounded), (1, 3));
         for servers in [1usize, 2, 3, 4] {
-            let (lo, hi) = tp.servers_overlapping(&unbounded, servers);
-            assert_eq!(hi, tp.server_of(tp.len() - 1, servers), "servers={servers}");
-            assert!(lo <= hi);
+            let last = tp.server_of(tp.len() - 1, servers);
+            assert_eq!(last, servers.min(tp.len()) - 1, "servers={servers}");
+            assert!(tp.server_of(tp.part_of(unbounded.start()), servers) <= last);
         }
-        // An unbounded interval starting at 0 reaches every server.
+        // An unbounded interval starting at 0 spans every range; its owner
+        // is server 0.
         let whole = Interval::from(0);
-        let (lo, hi) = tp.servers_overlapping(&whole, 3);
-        assert_eq!((lo, hi), (0, tp.server_of(tp.len() - 1, 3)));
-        assert_eq!(lo, 0);
+        assert_eq!(tp.parts_overlapping(&whole), (0, tp.len() - 1));
+        assert_eq!(tp.server_of(tp.part_of(whole.start()), 3), 0);
     }
 
     #[test]

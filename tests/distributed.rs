@@ -1,10 +1,10 @@
-//! Protocol-level tests of the distributed partition-server chase: replica
-//! shipping for boundary-crossing (and unbounded) facts, snapshot
-//! consistency between coordinator and servers, delta-only `ApplyDelta`
+//! Protocol-level tests of the distributed partition-server chase:
+//! owner-only routing of boundary-crossing (and unbounded) facts, the
+//! digest audit between coordinator and servers, delta-only `ApplyDelta`
 //! shipping, clean teardown across transports, and end-to-end behavior on
 //! workloads rich in unbounded intervals.
 
-use tdx::core::chase::cluster::snapshot_consistent;
+use tdx::core::chase::cluster::{image_digest, snapshot_consistent};
 use tdx::core::{hom_equivalent, semantics, DistributedCluster, StoreKind, TransportKind};
 use tdx::storage::TemporalFact;
 use tdx::temporal::{Breakpoints, TimelinePartition};
@@ -22,62 +22,87 @@ fn fact(vals: &[&str], interval: Interval) -> TemporalFact {
     }
 }
 
-#[test]
-fn replica_sets_follow_the_server_assignment() {
-    // Partition at 10/20/30 over three servers: blocks {0,1}, {2}, {3}.
-    let mapping = paper_mapping();
-    let tp = TimelinePartition::new(&Breakpoints::from_points([10, 20, 30]));
-    assert_eq!(tp.server_assignment(3), vec![0, 0, 1, 2]);
-    let mut cluster = DistributedCluster::spawn(&mapping, &tp, 3).unwrap();
-
-    let local = fact(&["Ada", "IBM"], iv(0, 5)); // server 0 only
-    let crossing = fact(&["Bob", "IBM"], iv(15, 25)); // owner server 0, replica on 1
-    let unbounded = fact(&["Cyd", "IBM"], Interval::from(25)); // owner server 1, replica on 2
+/// One fact local to range 0, one crossing from range 1 into range 2, and
+/// one unbounded fact starting in range 2 of a partition cut at 10/20/30.
+fn boundary_facts() -> (TemporalFact, TemporalFact, TemporalFact) {
+    let unbounded = fact(&["Cyd", "IBM"], Interval::from(25));
     assert!(unbounded.interval.is_unbounded());
-    let pre = vec![
-        vec![local.clone(), crossing.clone(), unbounded.clone()],
-        Vec::new(),
-    ];
-    let delta = vec![Vec::new(), Vec::new()];
-    cluster
-        .apply_delta(StoreKind::Source, &pre, &delta)
-        .unwrap();
-
-    let snaps = cluster.snapshots(StoreKind::Source).unwrap();
-    assert_eq!(snaps.len(), 3);
-    // Owner blocks: every fact exactly once, at the server owning the
-    // partition of its start point.
-    assert_eq!(snaps[0].0[0], vec![local, crossing.clone()]);
-    assert_eq!(snaps[1].0[0], vec![unbounded.clone()]);
-    assert!(snaps[2].0[0].is_empty());
-    // Replica sets: the crossing fact reaches server 1; the unbounded fact
-    // reaches the server tail (server 2).
-    assert_eq!(snaps[0].1[0], Vec::<TemporalFact>::new());
-    assert_eq!(snaps[1].1[0], vec![crossing]);
-    assert_eq!(snaps[2].1[0], vec![unbounded]);
-    // The owner multiset tiles the coordinator's lists exactly.
-    assert!(snapshot_consistent(&mut cluster, StoreKind::Source, &pre).unwrap());
-    // ... and a diverged coordinator view is detected.
-    let wrong = vec![vec![fact(&["Eve", "ACME"], iv(1, 2))], Vec::new()];
-    assert!(!snapshot_consistent(&mut cluster, StoreKind::Source, &wrong).unwrap());
+    (
+        fact(&["Ada", "IBM"], iv(0, 5)),
+        fact(&["Bob", "IBM"], iv(15, 25)),
+        unbounded,
+    )
 }
 
 #[test]
-fn delta_shipping_reaches_every_overlapping_server() {
+fn owner_only_shipping_sends_each_fact_once() {
+    // Partition at 10/20/30 over three servers: blocks {0,1}, {2}, {3}.
+    // Each fact travels to the owner of its start range only, so a full
+    // ship of three facts ships three — the crossing and the unbounded
+    // fact are not copied to the servers whose ranges they reach.
     let mapping = paper_mapping();
-    let tp = TimelinePartition::new(&Breakpoints::from_points([10, 20]));
+    let tp = TimelinePartition::new(&Breakpoints::from_points([10, 20, 30]));
     let mut cluster = DistributedCluster::spawn(&mapping, &tp, 3).unwrap();
-    // Ship a delta-only load whose single fact spans all three blocks.
-    let spanning = fact(&["Ada", "IBM"], Interval::from(0));
-    let pre = vec![Vec::new(), Vec::new()];
+    let (local, crossing, unbounded) = boundary_facts();
+    let pre = vec![vec![local, crossing, unbounded], Vec::new()];
+    cluster
+        .apply_delta(StoreKind::Source, &pre, &vec![Vec::new(), Vec::new()])
+        .unwrap();
+    assert_eq!(cluster.traffic().apply_delta_facts, 3);
+    // A delta-only load whose single fact spans every block ships once.
+    let spanning = fact(&["Eve", "IBM"], Interval::from(0));
+    let mut cluster = DistributedCluster::spawn(&mapping, &tp, 3).unwrap();
     let delta = vec![vec![spanning.clone()], Vec::new()];
     cluster
-        .apply_delta(StoreKind::Source, &pre, &delta)
+        .apply_delta(StoreKind::Source, &vec![Vec::new(), Vec::new()], &delta)
         .unwrap();
-    let snaps = cluster.snapshots(StoreKind::Source).unwrap();
-    assert_eq!(snaps[0].0[0], vec![spanning.clone()]);
-    for (s, snap) in snaps.iter().enumerate().skip(1) {
-        assert_eq!(snap.1[0], vec![spanning.clone()], "server {s}");
+    assert_eq!(cluster.traffic().apply_delta_facts, 1);
+    let empty = image_digest(&vec![Vec::new(), Vec::new()]);
+    assert_eq!(
+        cluster.image_digests(StoreKind::Source).unwrap(),
+        vec![
+            image_digest(&vec![vec![spanning], Vec::new()]),
+            empty,
+            empty
+        ]
+    );
+}
+
+#[test]
+fn digest_audit_accepts_owner_routed_lists_and_rejects_divergence() {
+    let mapping = paper_mapping();
+    let tp = TimelinePartition::new(&Breakpoints::from_points([10, 20, 30]));
+    for transport in [TransportKind::Channel, TransportKind::Tcp] {
+        let mut cluster = DistributedCluster::spawn_on(&mapping, &tp, 3, transport).unwrap();
+        let (local, crossing, unbounded) = boundary_facts();
+        let pre = vec![
+            vec![local.clone(), crossing.clone(), unbounded.clone()],
+            Vec::new(),
+        ];
+        cluster
+            .apply_delta(StoreKind::Source, &pre, &vec![Vec::new(), Vec::new()])
+            .unwrap();
+        // Per-server placement: server 0 owns ranges {0, 1}, server 1
+        // range 2, server 2 range 3.
+        assert_eq!(
+            cluster.image_digests(StoreKind::Source).unwrap(),
+            vec![
+                image_digest(&vec![vec![local.clone(), crossing.clone()], Vec::new()]),
+                image_digest(&vec![vec![unbounded.clone()], Vec::new()]),
+                image_digest(&vec![Vec::new(), Vec::new()]),
+            ],
+            "{transport:?}"
+        );
+        // The audit accepts the owner-routed lists ...
+        assert!(snapshot_consistent(&mut cluster, StoreKind::Source, &pre).unwrap());
+        // ... and rejects a diverged coordinator view: other content, a
+        // reordered list, or a dropped fact.
+        let wrong = vec![vec![fact(&["Eve", "ACME"], iv(1, 2))], Vec::new()];
+        assert!(!snapshot_consistent(&mut cluster, StoreKind::Source, &wrong).unwrap());
+        let reordered = vec![vec![crossing.clone(), local.clone(), unbounded], Vec::new()];
+        assert!(!snapshot_consistent(&mut cluster, StoreKind::Source, &reordered).unwrap());
+        let dropped = vec![vec![local, crossing], Vec::new()];
+        assert!(!snapshot_consistent(&mut cluster, StoreKind::Source, &dropped).unwrap());
     }
 }
 
@@ -118,7 +143,7 @@ fn unbounded_heavy_workload_is_deterministic_and_equivalent() {
 
 #[test]
 fn tcp_cluster_speaks_the_same_protocol_as_channel() {
-    // The full protocol round-trip — handshake, delta shipping, snapshot
+    // The full protocol round-trip — handshake, delta shipping, digest
     // audit — over real TCP (child processes when the tdx binary is
     // around, which it is for integration tests).
     let mapping = paper_mapping();
@@ -133,8 +158,13 @@ fn tcp_cluster_speaks_the_same_protocol_as_channel() {
         .apply_delta(StoreKind::Source, &pre, &delta)
         .unwrap();
     assert!(snapshot_consistent(&mut cluster, StoreKind::Source, &pre).unwrap());
-    let snaps = cluster.snapshots(StoreKind::Source).unwrap();
-    assert_eq!(snaps[1].1[0], vec![crossing]);
+    // The crossing fact lives on its start owner (server 0) only.
+    assert_eq!(cluster.traffic().apply_delta_facts, 1);
+    let empty = image_digest(&delta);
+    assert_eq!(
+        cluster.image_digests(StoreKind::Source).unwrap(),
+        vec![image_digest(&pre), empty, empty]
+    );
 }
 
 /// Steady-state `ApplyDelta` traffic of an incremental distributed session

@@ -393,7 +393,12 @@ fn partitioned_engine_is_thread_count_deterministic() {
 }
 
 /// The inputs of the local/distributed byte-identity checks: employment,
-/// two adversarial nested-interval sources and the 3-atom-body mapping.
+/// a boundary-dense employment shape (long tenures, many open-ended jobs:
+/// most facts cross partition boundaries or run to the tail), two
+/// adversarial nested-interval sources and the 3-atom-body mapping. Both
+/// employment shapes leave salary gaps: with full coverage every null is
+/// merged into a constant, and the target no longer shows the order the
+/// tgd steps ran in.
 fn byte_identity_cases() -> Vec<(String, SchemaMapping, TemporalInstance)> {
     let w = EmploymentWorkload::generate(&EmploymentConfig {
         persons: 20,
@@ -402,7 +407,20 @@ fn byte_identity_cases() -> Vec<(String, SchemaMapping, TemporalInstance)> {
         seed: 9,
         ..EmploymentConfig::default()
     });
-    let mut cases = vec![("employment".to_string(), w.mapping, w.source)];
+    let boundary = EmploymentWorkload::generate(&EmploymentConfig {
+        persons: 20,
+        horizon: 40,
+        avg_tenure: 18,
+        p_unbounded: 0.4,
+        conflicts: 0,
+        salary_coverage: 0.7,
+        seed: 9,
+        ..EmploymentConfig::default()
+    });
+    let mut cases = vec![
+        ("employment".to_string(), w.mapping, w.source),
+        ("boundary".to_string(), boundary.mapping, boundary.source),
+    ];
     for n in [12usize, 20] {
         let (mapping, source) = nested_mapping(n);
         cases.push((format!("nested/{n}"), mapping, source));
@@ -819,9 +837,9 @@ fn resume_probe_survives_chaos_faults_at_every_frame_offset() {
     // each recoverable fault into server 1's carrier at every frame
     // offset it reaches (offset 0 *is* the Resume probe) and replay the
     // same script through the recovered cluster — ApplyDelta, a fused tgd
-    // round, a fused egd round, a Snapshot, and the Shutdown the drop
-    // broadcasts — under a watchdog. Every run must land byte-identical to
-    // the fault-free replay of the same script.
+    // round, a fused egd round, the Resume-based digest audit, and the
+    // Shutdown the drop broadcasts — under a watchdog. Every run must land
+    // byte-identical to the fault-free replay of the same script.
     use std::sync::{mpsc, Arc};
     use std::time::Duration;
     use tdx::core::chase::cluster::protocol::FactLists;
@@ -847,7 +865,8 @@ fn resume_probe_survives_chaos_faults_at_every_frame_offset() {
 
     // Resume-probe a blank 3-server cluster, then replay the script.
     // Returns a rendering of everything observable: the adoption count,
-    // the tgd homomorphisms, the egd merges and the per-server snapshots.
+    // the tgd homomorphisms, the egd merges and the per-server image
+    // digests of the audit.
     fn replay(
         mapping: &SchemaMapping,
         tp: &TimelinePartition,
@@ -867,8 +886,8 @@ fn resume_probe_survives_chaos_faults_at_every_frame_offset() {
         cluster.apply_delta(StoreKind::Source, &empty_src, delta)?;
         let homs = cluster.run_tgd_round_fused(&empty_src, delta, mapping.st_tgds().len())?;
         let merges = cluster.run_egd_round_fused(&empty_tgt, &empty_tgt)?;
-        let snaps = cluster.snapshots(StoreKind::Source)?;
-        Ok((resumed, format!("{homs:?} {merges:?} {snaps:?}")))
+        let digests = cluster.image_digests(StoreKind::Source)?;
+        Ok((resumed, format!("{homs:?} {merges:?} {digests:?}")))
     }
 
     let (clean_resumed, clean) = replay(&w.mapping, &tp, &delta, Arc::new(ChannelSpawner)).unwrap();
@@ -944,10 +963,6 @@ const PROTOCOL_FAULT_MATRIX: &[(&str, &str)] = &[
         "chaos_faults_at_every_frame_offset_land_byte_identical_under_a_watchdog",
     ),
     (
-        "Message::Snapshot",
-        "resume_probe_survives_chaos_faults_at_every_frame_offset",
-    ),
-    (
         "Message::Ping",
         "coordinator::tests::clean_rounds_decay_the_respawn_budget",
     ),
@@ -974,10 +989,6 @@ const PROTOCOL_FAULT_MATRIX: &[(&str, &str)] = &[
     (
         "Response::Applied",
         "chaos_faults_at_every_frame_offset_land_byte_identical_under_a_watchdog",
-    ),
-    (
-        "Response::Facts",
-        "resume_probe_survives_chaos_faults_at_every_frame_offset",
     ),
     (
         "Response::Pong",
@@ -1030,5 +1041,5 @@ fn protocol_fault_matrix_is_exhaustive_and_names_live_tests() {
             "{frame}: covering test {test} does not exist"
         );
     }
-    assert_eq!(seen.len(), 16, "the v5 protocol has 16 frames");
+    assert_eq!(seen.len(), 14, "the v6 protocol has 14 frames");
 }
